@@ -10,7 +10,8 @@
 // period scaling are the shape to check.
 //
 // This binary is also the google-benchmark microbenchmark for the two hash
-// functions (run with --benchmark_filter to see per-page costs).
+// functions (run with --benchmark_filter to see per-page costs): *Page
+// hashes one page per call, *Batch 64 pages per hash_many() call.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -75,12 +76,41 @@ void bm_hash_page(benchmark::State& state, hash::Algorithm algo) {
                           static_cast<std::int64_t>(kDefaultBlockSize));
 }
 
+/// hash_many() over 64 distinct pages: the multi-buffer path that monitor
+/// scans, the command's local phase and migration run.
+void bm_hash_batch(benchmark::State& state, hash::Algorithm algo) {
+  constexpr std::size_t kPages = 64;
+  std::vector<std::byte> buf(kPages * kDefaultBlockSize);
+  Rng rng(1);
+  for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xff);
+  std::vector<std::span<const std::byte>> pages;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    pages.push_back(std::span<const std::byte>(buf).subspan(p * kDefaultBlockSize,
+                                                            kDefaultBlockSize));
+  }
+  std::vector<ContentHash> out(kPages);
+  const hash::BlockHasher hasher(algo);
+  for (auto _ : state) {
+    hasher.hash_many(pages, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
 void BM_Md5Page(benchmark::State& state) { bm_hash_page(state, hash::Algorithm::kMd5); }
 void BM_SuperFastPage(benchmark::State& state) {
   bm_hash_page(state, hash::Algorithm::kSuperFast);
 }
+void BM_Md5Batch(benchmark::State& state) { bm_hash_batch(state, hash::Algorithm::kMd5); }
+void BM_SuperFastBatch(benchmark::State& state) {
+  bm_hash_batch(state, hash::Algorithm::kSuperFast);
+}
 BENCHMARK(BM_Md5Page);
 BENCHMARK(BM_SuperFastPage);
+BENCHMARK(BM_Md5Batch);
+BENCHMARK(BM_SuperFastBatch);
 
 }  // namespace
 

@@ -1,8 +1,7 @@
 #include "core/cost_model.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,17 +13,17 @@ namespace concord::core {
 
 namespace {
 
+/// Fastest of `reps` timed runs. Host noise only ever adds time, so the
+/// minimum is the run that noise touched least; a median still carries one
+/// slow moment of the host into every charge the process makes.
 template <typename Fn>
-double median_ns(Fn&& fn, int reps = 5) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
+double min_ns(Fn&& fn, int reps = 9) {
+  double best = 0;
   for (int r = 0; r < reps; ++r) {
-    samples.push_back(static_cast<double>(obs::host_timed_ns(fn)));
+    const auto ns = static_cast<double>(obs::host_timed_ns(fn));
+    if (r == 0 || ns < best) best = ns;
   }
-  std::nth_element(samples.begin(),
-                   samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2),
-                   samples.end());
-  return samples[samples.size() / 2];
+  return best;
 }
 
 }  // namespace
@@ -37,26 +36,28 @@ CostModel CostModel::calibrate() {
   Rng rng(12345);
   for (auto& b : src) b = static_cast<std::byte>(rng() & 0xff);
 
-  // Hash costs: 64 pages of 4 KB per repetition.
-  const hash::BlockHasher md5(hash::Algorithm::kMd5);
-  const hash::BlockHasher sf(hash::Algorithm::kSuperFast);
+  // Hash costs: 64 pages of 4 KB per repetition, through hash_many() — the
+  // path every whole-entity loop takes.
+  std::vector<std::span<const std::byte>> pages;
+  for (std::size_t off = 0; off < kBuf; off += 4096) {
+    pages.push_back(std::span<const std::byte>(src).subspan(off, 4096));
+  }
+  std::vector<ContentHash> digests(pages.size());
   std::uint64_t sink = 0;
-  m.md5_ns_per_byte = median_ns([&] {
-                        for (std::size_t off = 0; off < kBuf; off += 4096) {
-                          sink ^= md5(std::span(src).subspan(off, 4096)).lo;
-                        }
-                      }) /
-                      static_cast<double>(kBuf);
-  m.superfast_ns_per_byte = median_ns([&] {
-                              for (std::size_t off = 0; off < kBuf; off += 4096) {
-                                sink ^= sf(std::span(src).subspan(off, 4096)).lo;
-                              }
-                            }) /
-                            static_cast<double>(kBuf);
+  const auto hash_ns_per_byte = [&](hash::Algorithm algo) {
+    const hash::BlockHasher hasher(algo);
+    return min_ns([&] {
+             hasher.hash_many(pages, digests);
+             sink ^= digests.back().lo;
+           }) /
+           static_cast<double>(kBuf);
+  };
+  m.md5_ns_per_byte = hash_ns_per_byte(hash::Algorithm::kMd5);
+  m.superfast_ns_per_byte = hash_ns_per_byte(hash::Algorithm::kSuperFast);
 
   // Touch cost: memcpy.
   m.touch_ns_per_byte =
-      median_ns([&] { std::memcpy(dst.data(), src.data(), kBuf); }) /
+      min_ns([&] { std::memcpy(dst.data(), src.data(), kBuf); }) /
       static_cast<double>(kBuf);
 
   // Entry scan cost: enumerate a populated shard, intersecting bitmaps the
@@ -67,7 +68,7 @@ CostModel CostModel::calibrate() {
     store.insert(ContentHash{splitmix64(s), splitmix64(s)},
                  entity_id(static_cast<std::uint32_t>(i % 64)));
   }
-  m.entry_scan_ns = median_ns([&] {
+  m.entry_scan_ns = min_ns([&] {
                       std::uint64_t acc = 0;
                       store.for_each_entry([&](const ContentHash& h, const std::uint64_t* w,
                                                std::size_t nw) {
@@ -85,7 +86,7 @@ CostModel CostModel::calibrate() {
       mixed[i] = (i % 4096) < 2048 ? static_cast<std::byte>(i & 0x0f)
                                    : static_cast<std::byte>(rng() & 0xff);
     }
-    m.cgz_ns_per_byte = median_ns([&] { sink ^= compress::compressed_size(mixed); }, 3) /
+    m.cgz_ns_per_byte = min_ns([&] { sink ^= compress::compressed_size(mixed); }, 3) /
                         static_cast<double>(kBuf);
   }
 
@@ -102,7 +103,7 @@ CostModel CostModel::calibrate() {
   Iface* iface = &impl;
   std::unordered_map<std::uint64_t, std::uint64_t> table;
   for (std::uint64_t i = 0; i < 1024; ++i) table[i] = i;
-  m.callback_ns = median_ns([&] {
+  m.callback_ns = min_ns([&] {
                     for (std::uint64_t i = 0; i < 4096; ++i) {
                       sink ^= iface->f(i) + table.count(i & 1023);
                     }

@@ -5,9 +5,10 @@
 // each tiny operation with the host clock would make barrier-style results
 // (max over thousands of samples) grow with the *number* of measurements —
 // every OS hiccup lands in some sample and the slowest sample gates the
-// phase. Instead, unit costs are micro-calibrated once per process (median
-// of repeated runs, so the numbers are real for this host) and engines
-// charge `count x unit` deterministically. This both removes the
+// phase. Instead, unit costs are micro-calibrated once per process (fastest
+// of repeated runs, so the numbers are real for this host and one slow
+// moment of it does not inflate every later charge) and engines charge
+// `count x unit` deterministically. This both removes the
 // heavy-tailed measurement noise and makes simulations bit-for-bit
 // reproducible.
 //
@@ -28,7 +29,11 @@ class CostModel {
   /// The process-wide calibrated instance (calibrated on first use).
   static const CostModel& instance();
 
-  /// Hashing `bytes` of memory with `algo`.
+  /// Hashing `bytes` of memory with `algo`. Calibrated on
+  /// BlockHasher::hash_many, the four-blocks-per-pass path the scan, local
+  /// phase and migration loops run, so the few single-block rehashes
+  /// (dispatch verification, integrity scrub) are charged at that batched
+  /// rate too.
   [[nodiscard]] sim::Time hash_cost(hash::Algorithm algo, std::size_t bytes) const {
     const double per_byte =
         algo == hash::Algorithm::kMd5 ? md5_ns_per_byte : superfast_ns_per_byte;
@@ -63,7 +68,7 @@ class CostModel {
   double entry_scan_ns = 60.0;
   double cgz_ns_per_byte = 40.0;
 
-  /// Runs the micro-calibration (median of repetitions). Exposed for tests;
+  /// Runs the micro-calibration (minimum of repetitions). Exposed for tests;
   /// production code uses instance().
   static CostModel calibrate();
 };

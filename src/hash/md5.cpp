@@ -1,14 +1,21 @@
 #include "hash/md5.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
+#include <utility>
+
+#include "hash/lanes.hpp"
 
 namespace concord::hash {
 
 namespace {
 
-// Per-round shift amounts (RFC 1321 §3.4).
-constexpr std::uint32_t kShift[64] = {
+using detail::load_le32;
+using detail::rotl;
+using detail::U32x4;
+
+// Per-step shift amounts (RFC 1321 §3.4).
+constexpr int kShift[64] = {
     7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
     5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
     4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
@@ -28,57 +35,79 @@ constexpr std::uint32_t kSine[64] = {
     0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
     0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
 
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+constexpr std::uint32_t kInit[4] = {0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476};
+
+/// Message word consumed by step `i`.
+constexpr std::size_t message_index(std::size_t i) {
+  if (i < 16) return i;
+  if (i < 32) return (5 * i + 1) & 15;
+  if (i < 48) return (3 * i + 5) & 15;
+  return (7 * i) & 15;
+}
+
+/// Step I of 64. The state words trade roles every step instead of being
+/// shuffled: step I's (a, b, c, d) are v[-I], v[1-I], v[2-I], v[3-I] mod 4,
+/// and it overwrites only its `a`.
+template <std::size_t I, typename W>
+[[gnu::always_inline]] inline void md5_step(W (&v)[4], const W (&m)[16]) noexcept {
+  W& a = v[(4 - I % 4) % 4];
+  const W b = v[(5 - I % 4) % 4];
+  const W c = v[(6 - I % 4) % 4];
+  const W d = v[(7 - I % 4) % 4];
+  W f{};
+  if constexpr (I < 16) {
+    f = d ^ (b & (c ^ d));  // (b & c) | (~b & d)
+  } else if constexpr (I < 32) {
+    f = c ^ (d & (b ^ c));  // (d & b) | (~d & c)
+  } else if constexpr (I < 48) {
+    f = b ^ c ^ d;
+  } else {
+    f = c ^ (b | ~d);
+  }
+  a = b + rotl<kShift[I]>(a + f + kSine[I] + m[message_index(I)]);
+}
+
+template <typename W, std::size_t... I>
+[[gnu::always_inline]] inline void md5_steps(W (&v)[4], const W (&m)[16],
+                                             std::index_sequence<I...>) noexcept {
+  (md5_step<I>(v, m), ...);
+}
+
+/// The MD5 compression function over one 64-byte chunk per lane of W.
+template <typename W>
+[[gnu::always_inline]] inline void md5_compress(W (&state)[4], const W (&m)[16]) noexcept {
+  W v[4] = {state[0], state[1], state[2], state[3]};
+  md5_steps(v, m, std::make_index_sequence<64>{});
+  for (std::size_t r = 0; r < 4; ++r) state[r] += v[r];
+}
+
+/// Digest bytes are the state words little-endian; ContentHash reads them
+/// big-endian (byte 0 is the top byte of `hi`).
+ContentHash fold_state(const std::uint32_t (&s)[4]) noexcept {
+  ContentHash h;
+  for (std::size_t r = 0; r < 4; ++r) {
+    std::uint64_t& half = r < 2 ? h.hi : h.lo;
+    for (int i = 0; i < 4; ++i) half = (half << 8) | ((s[r] >> (8 * i)) & 0xff);
+  }
+  return h;
 }
 
 }  // namespace
 
 void Md5::reset() noexcept {
-  a0_ = 0x67452301;
-  b0_ = 0xefcdab89;
-  c0_ = 0x98badcfe;
-  d0_ = 0x10325476;
+  std::memcpy(state_, kInit, sizeof(state_));
   total_len_ = 0;
   buf_len_ = 0;
 }
 
-void Md5::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t m[16];
-  for (int i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
-
-  std::uint32_t a = a0_, b = b0_, c = c0_, d = d0_;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    std::uint32_t g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) & 15;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) & 15;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) & 15;
-    }
-    f += a + kSine[i] + m[g];
-    a = d;
-    d = c;
-    c = b;
-    b += std::rotl(f, static_cast<int>(kShift[i]));
-  }
-  a0_ += a;
-  b0_ += b;
-  c0_ += c;
-  d0_ += d;
+void Md5::process_block(const std::byte* block) noexcept {
+  std::uint32_t m[16] = {};
+  for (std::size_t i = 0; i < 16; ++i) m[i] = load_le32(block + 4 * i);
+  md5_compress(state_, m);
 }
 
 void Md5::update(std::span<const std::byte> data) noexcept {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(data.data());
+  const std::byte* p = data.data();
   std::size_t n = data.size();
   total_len_ += n;
 
@@ -118,10 +147,9 @@ std::array<std::uint8_t, 16> Md5::final_digest() noexcept {
   update(std::as_bytes(std::span<const std::uint8_t>(len_le, 8)));
 
   std::array<std::uint8_t, 16> out;
-  const std::uint32_t regs[4] = {a0_, b0_, c0_, d0_};
-  for (int r = 0; r < 4; ++r) {
-    for (int i = 0; i < 4; ++i) {
-      out[static_cast<std::size_t>(4 * r + i)] = static_cast<std::uint8_t>(regs[r] >> (8 * i));
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      out[4 * r + i] = static_cast<std::uint8_t>(state_[r] >> (8 * i));
     }
   }
   return out;
@@ -134,11 +162,47 @@ std::array<std::uint8_t, 16> Md5::digest(std::span<const std::byte> data) noexce
 }
 
 ContentHash Md5::content_hash(std::span<const std::byte> data) noexcept {
-  const auto d = digest(data);
-  ContentHash h;
-  for (int i = 0; i < 8; ++i) h.hi = (h.hi << 8) | d[static_cast<std::size_t>(i)];
-  for (int i = 8; i < 16; ++i) h.lo = (h.lo << 8) | d[static_cast<std::size_t>(i)];
-  return h;
+  Md5 md5;
+  md5.update(data);
+  (void)md5.final_digest();
+  return fold_state(md5.state_);
+}
+
+void Md5::content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
+                          ContentHash (&out)[4]) noexcept {
+  U32x4 state[4] = {U32x4{} + kInit[0], U32x4{} + kInit[1], U32x4{} + kInit[2],
+                     U32x4{} + kInit[3]};
+  U32x4 m[16] = {};
+
+  std::size_t off = 0;
+  for (; len - off >= 64; off += 64) {
+    for (std::size_t i = 0; i < 16; ++i) m[i] = detail::load_le32x4(blocks, off + 4 * i);
+    md5_compress(state, m);
+  }
+
+  // Padding (RFC 1321 §3.1-3.2): the tail, 0x80, zeros and the 64-bit
+  // little-endian bit length, in one chunk if the tail leaves room for the
+  // length and in two otherwise. Equal lengths give every lane the same shape.
+  const std::size_t rem = len - off;
+  const std::size_t tail_len = rem < 56 ? 64 : 128;
+  const std::uint64_t bit_len = std::uint64_t{len} * 8;
+  std::byte tail[4][128] = {};
+  const std::byte* const lanes[4] = {tail[0], tail[1], tail[2], tail[3]};
+  for (std::size_t l = 0; l < 4; ++l) {
+    if (rem != 0) std::memcpy(tail[l], blocks[l] + off, rem);
+    tail[l][rem] = std::byte{0x80};
+    for (std::size_t i = 0; i < 8; ++i) {
+      tail[l][tail_len - 8 + i] = static_cast<std::byte>(bit_len >> (8 * i));
+    }
+  }
+  for (std::size_t t = 0; t < tail_len; t += 64) {
+    for (std::size_t i = 0; i < 16; ++i) m[i] = detail::load_le32x4(lanes, t + 4 * i);
+    md5_compress(state, m);
+  }
+
+  for (std::size_t l = 0; l < 4; ++l) {
+    out[l] = fold_state({state[0][l], state[1][l], state[2][l], state[3][l]});
+  }
 }
 
 }  // namespace concord::hash

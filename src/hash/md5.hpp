@@ -34,12 +34,18 @@ class Md5 {
   /// (big-endian: byte 0 is the top byte of `hi`).
   [[nodiscard]] static ContentHash content_hash(std::span<const std::byte> data) noexcept;
 
- private:
-  void process_block(const std::uint8_t* block) noexcept;
+  /// content_hash() of four buffers of `len` bytes each, computed in one
+  /// lockstep pass of the four-lane kernel. out[i] is bit-identical to
+  /// content_hash({blocks[i], len}).
+  static void content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
+                              ContentHash (&out)[4]) noexcept;
 
-  std::uint32_t a0_, b0_, c0_, d0_;
-  std::uint64_t total_len_ = 0;       // bytes fed so far
-  std::array<std::uint8_t, 64> buf_;  // partial block
+ private:
+  void process_block(const std::byte* block) noexcept;
+
+  std::uint32_t state_[4] = {};
+  std::uint64_t total_len_ = 0;    // bytes fed so far
+  std::array<std::byte, 64> buf_;  // partial block
   std::size_t buf_len_ = 0;
 };
 

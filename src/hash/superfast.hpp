@@ -2,10 +2,12 @@
 //
 // §5.2: with SuperFastHash the monitor's scan overhead drops from 6.4% to
 // 2.2% CPU at a 2 s period. The raw function yields 32 bits; ConCORD needs a
-// 128-bit content name, so content_hash() hashes four salted passes — still
-// far cheaper than MD5 (the salt mixes into the seed, not the data stream).
+// 128-bit content name, so superfast_content_hash() runs two differently
+// seeded passes over the data (the seed only sets the starting value, so
+// both ride one sweep over the bytes) — still far cheaper than MD5.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -20,6 +22,12 @@ namespace concord::hash {
 /// 128-bit content name from two independently-seeded passes (64 effective
 /// bits; see the .cpp for the trade-off discussion).
 [[nodiscard]] ContentHash superfast_content_hash(std::span<const std::byte> data) noexcept;
+
+/// superfast_content_hash() of four buffers of `len` bytes each: four
+/// blocks times two seeds run as eight lanes in one lockstep sweep. out[i]
+/// is bit-identical to superfast_content_hash({blocks[i], len}).
+void superfast_content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
+                               ContentHash (&out)[4]) noexcept;
 
 /// FNV-1a 64-bit — used for cheap non-content hashing (shard placement of
 /// strings, test oracles), not for content names.

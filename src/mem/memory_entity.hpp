@@ -48,6 +48,14 @@ class MemoryEntity {
     return {data_.data() + b * block_size_, block_size_};
   }
 
+  /// Read views of every block in index order (the input shape of
+  /// BlockHasher::hash_many).
+  [[nodiscard]] std::vector<std::span<const std::byte>> blocks() const {
+    std::vector<std::span<const std::byte>> out(num_blocks());
+    for (BlockIndex b = 0; b < out.size(); ++b) out[b] = block(b);
+    return out;
+  }
+
   /// Mutable access *through the write-tracking path*: marks the block dirty
   /// exactly like a hardware dirty bit / CoW fault would (§3.1).
   [[nodiscard]] std::span<std::byte> write_block(BlockIndex b) noexcept {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <thread>
 
 namespace concord::mem {
@@ -105,21 +106,30 @@ ScanStats MemoryUpdateMonitor::scan(const EmitFn& emit) {
 
     const std::vector<std::uint32_t> idx = candidates.to_indices();
 
-    // Pre-hash in parallel when the scan is unthrottled and large enough.
-    // Under a throttle the budget decides which blocks get hashed at all, so
-    // hashing ahead would do (and count) work the serial pipeline skips.
+    // Unthrottled, every candidate gets hashed, so hash them all up front
+    // through the multi-buffer path: one hash_many() call, or one per pool
+    // chunk when the scan is large enough to split across workers. Under a
+    // throttle the budget decides which blocks get hashed at all, so those
+    // scans hash one block at a time inside the sequential pass below.
     std::vector<ContentHash> prehashed;
-    const bool parallel = !throttled && workers > 1 && idx.size() >= kParallelMinBlocks;
-    if (parallel) {
-      if (pool_ == nullptr || pool_->workers() != workers) {
-        pool_ = std::make_unique<HashPool>(workers);
+    if (!throttled) {
+      std::vector<std::span<const std::byte>> blocks(idx.size());
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        blocks[i] = e.block(static_cast<BlockIndex>(idx[i]));
       }
       prehashed.resize(idx.size());
-      pool_->run(idx.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          prehashed[i] = hasher_(e.block(static_cast<BlockIndex>(idx[i])));
+      const auto hash_range = [&](std::size_t begin, std::size_t end) {
+        hasher_.hash_many(std::span(blocks).subspan(begin, end - begin),
+                          std::span(prehashed).subspan(begin, end - begin));
+      };
+      if (workers > 1 && idx.size() >= kParallelMinBlocks) {
+        if (pool_ == nullptr || pool_->workers() != workers) {
+          pool_ = std::make_unique<HashPool>(workers);
         }
-      });
+        pool_->run(idx.size(), hash_range);
+      } else {
+        hash_range(0, idx.size());
+      }
     }
 
     // Sequential pass in ascending block order: every counter increment,
@@ -137,7 +147,7 @@ ScanStats MemoryUpdateMonitor::scan(const EmitFn& emit) {
         continue;
       }
 
-      const ContentHash h = parallel ? prehashed[i] : hasher_(e.block(b));
+      const ContentHash h = throttled ? hasher_(e.block(b)) : prehashed[i];
       cells_.blocks_hashed->inc();
       cells_.bytes_hashed->inc(e.block_size());
 

@@ -84,12 +84,14 @@ class MemoryUpdateMonitor {
   }
 
   /// Host threads hashing candidate blocks inside scan(): 1 = serial
-  /// (default), 0 = one per hardware core (capped at 8). Parallel hashing is
-  /// a pure real-time optimization: updates are still emitted in block-index
-  /// order and every counter is charged in the same deterministic sequential
-  /// pass, so no snapshot byte depends on this setting. Throttled scans
-  /// (update_budget > 0) always hash serially — the budget decides *which*
-  /// blocks get hashed, a sequential dependence.
+  /// (default), 0 = one per hardware core (capped at 8). An unthrottled scan
+  /// hashes all its candidates up front with BlockHasher::hash_many (four
+  /// blocks per pass), one call per worker chunk. Parallel hashing is a pure
+  /// real-time optimization: updates are still emitted in block-index order
+  /// and every counter is charged in the same deterministic sequential pass,
+  /// so no snapshot byte depends on this setting. Throttled scans
+  /// (update_budget > 0) hash one block at a time, serially — the budget
+  /// decides *which* blocks get hashed, a sequential dependence.
   void set_hash_workers(std::size_t workers) noexcept {
     hash_workers_ = workers;
     pool_.reset();  // rebuilt lazily at the next parallel scan

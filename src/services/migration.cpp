@@ -97,9 +97,7 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
     // 1. Ground-truth hashes for every block (the NSM's view, fresh).
     const hash::BlockHasher& hasher = cluster_.daemon(src_node).monitor().hasher();
     std::vector<ContentHash> block_hash(src.num_blocks());
-    const sim::Time hash_cost = timed([&] {
-      for (BlockIndex b = 0; b < src.num_blocks(); ++b) block_hash[b] = hasher(src.block(b));
-    });
+    const sim::Time hash_cost = timed([&] { hasher.hash_many(src.blocks(), block_hash); });
     simu.run_until(simu.now() + hash_cost);
 
     // 2. Batched residency probes, one per shard owner.

@@ -744,11 +744,16 @@ Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
     if (!ok(s)) st = s;
     cost += cm.callback_cost();
 
+    // Ground truth: every block of the SE freshly hashed, all in one
+    // multi-buffer pass before the service sees any of them.
     const mem::MemoryEntity& e = cluster_.entity(eid);
-    const hash::BlockHasher& hasher = d.monitor().hasher();
+    const std::vector<std::span<const std::byte>> blocks = e.blocks();
+    std::vector<ContentHash> hashes(blocks.size());
+    d.monitor().hasher().hash_many(blocks, hashes);
+
     for (BlockIndex b = 0; b < e.num_blocks(); ++b) {
-      const auto data = e.block(b);
-      const ContentHash h = hasher(data);  // ground truth, freshly hashed
+      const auto data = blocks[b];
+      const ContentHash h = hashes[b];
       const auto hit = handled.find(h);
       const std::uint64_t* priv = hit == handled.end() ? nullptr : &hit->second;
       cells_.local_blocks->inc();

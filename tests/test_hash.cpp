@@ -1,10 +1,12 @@
 // Unit tests for src/hash: MD5 against the RFC 1321 vectors, SuperFastHash
-// behaviour, and the BlockHasher facade.
+// behaviour, and the BlockHasher facade, including hash_many() against the
+// single-block path.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "hash/block_hasher.hpp"
@@ -106,6 +108,39 @@ TEST(SuperFast, TailLengthsAllCovered) {
   }
 }
 
+TEST(SuperFast, PinnedContentHashes) {
+  // Known answers from the original byte-at-a-time implementation: the
+  // template rewrite (scalar and four-lane) must keep every content name.
+  // The prefixes cover every tail length; the page covers the 4-byte loop.
+  struct Case {
+    std::size_t len;
+    const char* want;
+  };
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  const Case cases[] = {{0, "0000000003a7409406474838f87619ca"},
+                        {1, "70a549c3b62f058ca1c251f1ad3da829"},
+                        {2, "b0adfd9f194aa8016712bfa77dfc8fac"},
+                        {3, "4cc3bc0e2ea0ad9fe9aaeaedd5d19ef9"},
+                        {4, "00f85410e7017204b7c8f028d6a9b684"},
+                        {5, "9c82f6a7e5d7437e2ff40793d3994770"},
+                        {6, "7d4b1f13d6d568fe6b2f329125df1c22"},
+                        {7, "39d667750e6e83d5fa42bf26a5a3221b"},
+                        {43, "05bf7ce309798cd7a22b98275edf0719"}};
+  const BlockHasher sf(Algorithm::kSuperFast);
+  for (const auto& [len, want] : cases) {
+    const auto data = bytes(fox).subspan(0, len);
+    EXPECT_EQ(superfast_content_hash(data).to_string(), want) << "len " << len;
+    const std::vector<std::span<const std::byte>> four(4, data);
+    std::vector<ContentHash> out(4);
+    sf.hash_many(four, out);
+    EXPECT_EQ(out[3].to_string(), want) << "len " << len;
+  }
+  std::vector<std::byte> page(4096);
+  for (std::size_t i = 0; i < page.size(); ++i) page[i] = static_cast<std::byte>(i * 7 + 3);
+  EXPECT_EQ(superfast32(page), 0x9ff0d098u);
+  EXPECT_EQ(superfast_content_hash(page).to_string(), "9ff0d09847f3945a162ec8627f2c852a");
+}
+
 TEST(SuperFast, ContentHashHasNoTrivialCollisions) {
   std::unordered_set<ContentHash> seen;
   std::vector<std::byte> page(4096, std::byte{0});
@@ -140,6 +175,139 @@ TEST(BlockHasher, EqualContentEqualHash) {
     b[100] = std::byte{2};
     EXPECT_NE(h(a), h(b)) << to_string(algo);
     b[100] = std::byte{1};
+  }
+}
+
+
+// ----------------------------------------------------- BlockHasher::hash_many
+
+constexpr Algorithm kAlgorithms[] = {Algorithm::kMd5, Algorithm::kSuperFast};
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<std::byte>(rng() & 0xff);
+  return out;
+}
+
+/// hash_many over `blocks` must equal operator() on each block.
+void expect_many_matches_single(const BlockHasher& h,
+                                const std::vector<std::span<const std::byte>>& blocks,
+                                const std::string& what) {
+  std::vector<ContentHash> out(blocks.size());
+  h.hash_many(blocks, out);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(out[i], h(blocks[i]))
+        << to_string(h.algorithm()) << " " << what << " block " << i;
+  }
+}
+
+TEST(HashMany, EveryLengthMatchesSingleBlock) {
+  // 0-300 crosses the 55/56/63/64-byte padding boundaries of MD5 several
+  // times and every SuperFastHash tail length; 4096 is the page size.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  const std::vector<std::byte> pool = random_bytes(4 * 4096, 21);
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    for (const std::size_t len : lengths) {
+      std::vector<std::span<const std::byte>> blocks;
+      for (std::size_t l = 0; l < 4; ++l) blocks.emplace_back(pool.data() + l * 4096, len);
+      expect_many_matches_single(h, blocks, "len " + std::to_string(len));
+    }
+  }
+}
+
+TEST(HashMany, EveryBatchSizeUpToNine) {
+  const std::vector<std::byte> pool = random_bytes(9 * 4096, 22);
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    for (std::size_t n = 0; n <= 9; ++n) {
+      std::vector<std::span<const std::byte>> blocks;
+      for (std::size_t i = 0; i < n; ++i) blocks.emplace_back(pool.data() + i * 4096, 4096);
+      expect_many_matches_single(h, blocks, "batch " + std::to_string(n));
+    }
+  }
+}
+
+TEST(HashMany, MixedLengthBatch) {
+  // Groups of four with unequal lengths (the odd one out in lane 3, 1 and
+  // 2) fall back to the single-block path; the
+  // equal-length group still takes the four-lane kernel.
+  const std::vector<std::byte> pool = random_bytes(16 * 4096, 23);
+  const std::size_t lengths[] = {4096, 4096, 4096, 100, 64, 64, 64, 64, 56,
+                                 55,   56,   56,   7,   7,  9,  7,  3};
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    std::vector<std::span<const std::byte>> blocks;
+    for (std::size_t i = 0; i < std::size(lengths); ++i) {
+      blocks.emplace_back(pool.data() + i * 4096, lengths[i]);
+    }
+    expect_many_matches_single(h, blocks, "mixed");
+  }
+}
+
+TEST(HashMany, FourLanesWithDistinctContent) {
+  // Lanes differing only in one byte, and identical lanes, stay apart or
+  // together exactly as the single-block path says.
+  std::vector<std::vector<std::byte>> pages(4, std::vector<std::byte>(4096, std::byte{9}));
+  pages[1][0] = std::byte{1};
+  pages[2][4095] = std::byte{1};
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    const std::vector<std::span<const std::byte>> blocks(pages.begin(), pages.end());
+    std::vector<ContentHash> out(4);
+    h.hash_many(blocks, out);
+    expect_many_matches_single(h, blocks, "distinct");
+    EXPECT_NE(out[0], out[1]) << to_string(algo);
+    EXPECT_NE(out[0], out[2]) << to_string(algo);
+    EXPECT_NE(out[1], out[2]) << to_string(algo);
+    EXPECT_EQ(out[0], out[3]) << to_string(algo);
+  }
+}
+
+TEST(HashMany, UnalignedBasePointer) {
+  const std::vector<std::byte> pool = random_bytes(4 * 4096 + 16, 24);
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    for (const std::size_t shift : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      std::vector<std::span<const std::byte>> blocks;
+      for (std::size_t l = 0; l < 4; ++l) {
+        blocks.emplace_back(pool.data() + shift + l * 4097, 4093);
+      }
+      expect_many_matches_single(h, blocks, "shift " + std::to_string(shift));
+    }
+  }
+}
+
+TEST(HashMany, Rfc1321VectorsInEveryLane) {
+  // Each reference input sits in one lane next to three random buffers of
+  // the same length, so the four-lane kernel computes its digest.
+  const Rfc1321Case cases[] = {
+      {"", "d41d8cd98f00b204e9800998ecf8427e"},
+      {"a", "0cc175b9c0f1b6a831c399e269772661"},
+      {"abc", "900150983cd24fb0d6963f7d28e17f72"},
+      {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+      {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
+      {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+       "d174ab98d277d9f5a5611c2c9f419d9f"},
+      {"1234567890123456789012345678901234567890123456789012345678901234567890123456"
+       "7890",
+       "57edf4a22be3c955ac49da2e2107b67a"}};
+  const BlockHasher md5(Algorithm::kMd5);
+  const std::vector<std::byte> filler = random_bytes(3 * 128, 25);
+  for (const auto& [input, want] : cases) {
+    const std::string s(input);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      std::vector<std::span<const std::byte>> blocks;
+      for (std::size_t l = 0, f = 0; l < 4; ++l) {
+        blocks.push_back(l == lane ? bytes(s) : std::span(filler).subspan(128 * f++, s.size()));
+      }
+      std::vector<ContentHash> out(4);
+      md5.hash_many(blocks, out);
+      EXPECT_EQ(out[lane].to_string(), want) << "input \"" << s << "\" lane " << lane;
+    }
   }
 }
 

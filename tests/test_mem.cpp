@@ -151,6 +151,46 @@ TEST(Monitor, ThrottleCarriesOverAndEventuallyCatchesUp) {
   EXPECT_EQ(epochs, 5);  // 50 blocks at 10 updates per epoch
 }
 
+TEST(Monitor, ThrottledScanWithSpareBudgetMatchesBatchedScan) {
+  // A budget larger than any epoch's change set never defers a block, so
+  // the throttled per-block path and the unthrottled hash_many path must
+  // emit the same stream and charge the same counters.
+  constexpr std::size_t kBlocks = 150;  // above the pool threshold
+  for (const DetectMode mode : {DetectMode::kFullScan, DetectMode::kDirtyBit}) {
+    MemoryEntity a(entity_id(0), node_id(0), EntityKind::kProcess, kBlocks, kBlk);
+    MemoryEntity b(entity_id(0), node_id(0), EntityKind::kProcess, kBlocks, kBlk);
+    MemoryUpdateMonitor batched(hash::BlockHasher{}, mode);
+    MemoryUpdateMonitor throttled(hash::BlockHasher{}, mode);
+    obs::Registry batched_reg;
+    obs::Registry throttled_reg;
+    batched.bind_metrics(batched_reg, 0);
+    throttled.bind_metrics(throttled_reg, 0);
+    batched.set_hash_workers(2);
+    throttled.set_update_budget(2 * kBlocks + 1);
+    batched.attach(a);
+    throttled.attach(b);
+
+    Collected ca;
+    Collected cb;
+    for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
+      for (BlockIndex blk = epoch; blk < kBlocks; blk += 3 + epoch) {
+        stamp(a, blk, epoch * 1000 + blk % 7);  // % 7: duplicate content too
+        stamp(b, blk, epoch * 1000 + blk % 7);
+      }
+      (void)batched.scan(ca.emit());
+      (void)throttled.scan(cb.emit());
+    }
+    ASSERT_EQ(ca.updates.size(), cb.updates.size());
+    for (std::size_t i = 0; i < ca.updates.size(); ++i) {
+      EXPECT_EQ(ca.updates[i].op, cb.updates[i].op) << i;
+      EXPECT_EQ(ca.updates[i].hash, cb.updates[i].hash) << i;
+      EXPECT_EQ(ca.updates[i].entity, cb.updates[i].entity) << i;
+    }
+    EXPECT_EQ(batched_reg.to_json(), throttled_reg.to_json());
+    EXPECT_EQ(throttled_reg.counter_total("mem", "throttled_blocks"), 0u);
+  }
+}
+
 TEST(Monitor, BlockMapTracksDuplicateContent) {
   MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 4, kBlk);
   stamp(e, 0, 7);
