@@ -1,5 +1,8 @@
 #include "core/service_daemon.hpp"
 
+#include <any>
+#include <utility>
+
 #include "common/log.hpp"
 
 namespace concord::core {
@@ -14,7 +17,7 @@ ServiceDaemon::ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMo
       store_(max_entities, alloc_mode),
       monitor_(hasher, detect_mode),
       batcher_(id, fabric, batching, &placement) {
-  fabric_.register_node(id_, [this](const net::Message& m) { handle_message(m); });
+  fabric_.register_node(id_, [this](net::Message& m) { handle_message(m); });
 }
 
 void ServiceDaemon::bind_metrics(obs::Registry& registry) {
@@ -138,7 +141,7 @@ void ServiceDaemon::publish_departure(EntityId id) {
   monitor_.detach(id);
 }
 
-void ServiceDaemon::handle_message(const net::Message& msg) {
+void ServiceDaemon::handle_message(net::Message& msg) {
   switch (msg.type) {
     case net::MsgType::kDhtInsert: {
       const auto& u = msg.as<DhtUpdateMsg>();
@@ -159,7 +162,7 @@ void ServiceDaemon::handle_message(const net::Message& msg) {
       return;
     }
     case net::MsgType::kDhtUpdateBatch: {
-      const auto& records = msg.as<DhtUpdateBatchMsg>();
+      auto& records = std::any_cast<DhtUpdateBatchMsg&>(msg.payload);
       // A traced batch leaves an apply marker on the owner's trace thread so
       // the flow arrow from the monitor lands on visible work.
       obs::Tracer* tracer = fabric_.tracer();
@@ -172,9 +175,10 @@ void ServiceDaemon::handle_message(const net::Message& msg) {
       }
       if (apply_staging_) {
         // Epoch-barrier apply: buffer the datagram for the parallel apply
-        // pass. The grant below still reads only fabric ingress state, so
+        // pass, taking its payload (the delivery consumes the datagram).
+        // The grant below still reads only fabric ingress state, so
         // deferring the store mutation leaves it byte-identical.
-        staged_applies_.push_back(records);
+        staged_applies_.push_back(std::move(records));
       } else {
         store_.apply_batch(records);
       }
@@ -190,9 +194,9 @@ void ServiceDaemon::handle_message(const net::Message& msg) {
       return;
     }
     case net::MsgType::kReplicaSync: {
-      const auto& s = msg.as<ReplicaSyncMsg>();
+      auto& s = std::any_cast<ReplicaSyncMsg&>(msg.payload);
       if (apply_staging_) {
-        if (!s.records.empty()) staged_applies_.push_back(s.records);
+        if (!s.records.empty()) staged_applies_.push_back(std::move(s.records));
       } else if (!s.records.empty()) {
         store_.apply_batch(s.records);
       }

@@ -112,8 +112,9 @@ class ServiceDaemon {
   [[nodiscard]] mem::MemoryUpdateMonitor& monitor() noexcept { return monitor_; }
 
   /// Fabric receive entry point; non-DHT types go to the handler registered
-  /// for that message type by the query / service-command engines.
-  void handle_message(const net::Message& msg);
+  /// for that message type by the query / service-command engines. Staged
+  /// update records (kDhtUpdateBatch, kReplicaSync) are moved out of `msg`.
+  void handle_message(net::Message& msg);
 
   using ExtraHandler = std::function<void(ServiceDaemon&, const net::Message&)>;
   void set_handler(net::MsgType type, ExtraHandler h) {
@@ -218,8 +219,9 @@ class ServiceDaemon {
   std::vector<StagedSend>* send_stage_ = nullptr;  // armed during sharded scans
   bool apply_staging_ = false;
   // One element per delivered datagram (a single update is a 1-record
-  // batch): batches must not be concatenated, because apply_batch's
-  // per-datagram stable grouping is part of the observable accounting.
+  // batch; a batch datagram's payload is moved in, not copied): batches
+  // must not be concatenated, because apply_batch's per-datagram ordering
+  // is part of the observable accounting.
   // concord-lint: unguarded(staged-apply discipline: filled by the fabric's
   // event loop on the simulation thread, drained by apply_staged() — which
   // the cluster runs one-worker-per-daemon after deliveries quiesce; the two

@@ -68,8 +68,19 @@ std::size_t UpdateBatcher::pending_cap() const noexcept {
   return kPendingCapBatches * policy_.max_records();
 }
 
+std::vector<dht::UpdateRecord>& UpdateBatcher::buffer_for(NodeId dst) {
+  const std::size_t i = raw(dst);
+  if (i >= pending_.size()) {
+    // One allocation sized to the site when the placement names it, rather
+    // than geometric growth leaving up to 2x slack in every daemon.
+    const std::size_t site = placement_ != nullptr ? placement_->num_nodes() : 0;
+    pending_.resize(std::max(i + 1, site));
+  }
+  return pending_[i];
+}
+
 void UpdateBatcher::add(NodeId dst, const dht::UpdateRecord& rec) {
-  std::vector<dht::UpdateRecord>& buf = pending_[dst];
+  std::vector<dht::UpdateRecord>& buf = buffer_for(dst);
   if (flow_control_ && buf.size() >= pending_cap()) {
     // Bounded buffer: under sustained pressure the newest records are shed
     // here rather than growing an unbounded queue the owner cannot absorb.
@@ -88,10 +99,11 @@ void UpdateBatcher::add(NodeId dst, const dht::UpdateRecord& rec) {
 }
 
 void UpdateBatcher::remap_pending() {
-  if (placement_ == nullptr) return;
+  if (placement_ == nullptr || placement_->generation() == routed_generation_) return;
+  routed_generation_ = placement_->generation();
   // Records whose owner moved (the buffered-for node died and the epoch
   // advanced) migrate between buffers; everything else stays put. Collected
-  // first so the pending_ walk never mutates the map mid-iteration.
+  // first so the pending_ walk never mutates a buffer it has yet to visit.
   //
   // At R > 1 the same hash is legitimately buffered for several replicas at
   // once, so the keep test is group membership, not primary equality —
@@ -100,7 +112,9 @@ void UpdateBatcher::remap_pending() {
   // the group (the buffered-for replica died) re-routes to the primary.
   const bool replicated = placement_->replication() > 1;
   std::vector<std::pair<NodeId, dht::UpdateRecord>> moved;
-  for (auto& [dst, buf] : pending_) {
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    std::vector<dht::UpdateRecord>& buf = pending_[i];
+    const NodeId dst = node_id(static_cast<std::uint32_t>(i));
     std::size_t kept = 0;
     for (dht::UpdateRecord& rec : buf) {
       const bool keep = replicated
@@ -117,27 +131,29 @@ void UpdateBatcher::remap_pending() {
   if (moved.empty()) return;
   obs::Counter* c = lazy_counter(updates_remapped_, "updates_remapped");
   if (c != nullptr) c->inc(moved.size());
-  for (auto& [owner, rec] : moved) pending_[owner].push_back(rec);
+  for (auto& [owner, rec] : moved) buffer_for(owner).push_back(rec);
 }
 
 void UpdateBatcher::flush(NodeId dst) {
   remap_pending();
-  const auto it = pending_.find(dst);
-  if (it == pending_.end() || it->second.empty()) return;
-  ship(dst, it->second, /*quota=*/nullptr);
+  const std::size_t i = raw(dst);
+  if (i >= pending_.size() || pending_[i].empty()) return;
+  ship(dst, pending_[i], /*quota=*/nullptr);
 }
 
 void UpdateBatcher::flush_all() {
   remap_pending();
   std::uint64_t quota = flush_quota_;
-  for (auto& [dst, buf] : pending_) {
-    if (!buf.empty()) ship(dst, buf, flush_quota_ > 0 ? &quota : nullptr);
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].empty()) continue;
+    ship(node_id(static_cast<std::uint32_t>(i)), pending_[i],
+         flush_quota_ > 0 ? &quota : nullptr);
   }
 }
 
 std::size_t UpdateBatcher::pending_records() const noexcept {
   std::size_t n = 0;
-  for (const auto& [dst, buf] : pending_) n += buf.size();
+  for (const std::vector<dht::UpdateRecord>& buf : pending_) n += buf.size();
   return n;
 }
 

@@ -18,7 +18,10 @@
 //   * epoch-aware remap — buffered records are re-routed through the current
 //     dht::Placement view at flush time, so a batch enqueued for an owner
 //     that crashed (and was detected) mid-epoch ships to the successor
-//     instead of the blackhole (counter core/updates_remapped);
+//     instead of the blackhole (counter core/updates_remapped). Records are
+//     routed by their caller under the view current when they are added, so
+//     the remap only runs when Placement::generation() moved since the last
+//     one — a steady-state flush costs nothing per record;
 //   * credit-based flow control — when enabled, each shipped datagram spends
 //     one credit granted by shard owners (kCreditGrant, sized by their
 //     ingress headroom). Out of credits, a flush defers (core/flush_deferred)
@@ -30,6 +33,7 @@
 // hash-map iteration order.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -90,7 +94,11 @@ class UpdateBatcher {
   /// relying on DhtAudit to heal the loss.
   UpdateBatcher(NodeId self, net::Fabric& fabric, BatchPolicy policy,
                 const dht::Placement* placement = nullptr)
-      : self_(self), fabric_(fabric), policy_(policy), placement_(placement) {}
+      : self_(self),
+        fabric_(fabric),
+        policy_(policy),
+        placement_(placement),
+        routed_generation_(placement != nullptr ? placement->generation() : 0) {}
 
   /// Routes the batcher's accounting into `registry`: core.updates_batched
   /// (records shipped inside batch datagrams, labeled per node) and
@@ -98,7 +106,9 @@ class UpdateBatcher {
   void bind_metrics(obs::Registry& registry, std::int32_t node);
 
   /// Buffers one record for `dst`, flushing that destination when its buffer
-  /// reaches the policy's per-datagram record budget.
+  /// reaches the policy's per-datagram record budget. `dst` must be where
+  /// the placement routes the record now; the flush-time remap only revisits
+  /// records after the placement's generation changes.
   void add(NodeId dst, const dht::UpdateRecord& rec);
 
   /// Ships `dst`'s buffered records (no-op when empty).
@@ -154,8 +164,11 @@ class UpdateBatcher {
   /// of `*quota` per datagram; stops (deferring the remainder in place) when
   /// either runs out.
   void ship(NodeId dst, std::vector<dht::UpdateRecord>& records, std::uint64_t* quota);
-  /// Re-routes every buffered record through the current placement view.
+  /// Re-routes every buffered record through the current placement view;
+  /// returns at once while the placement's generation is unchanged.
   void remap_pending();
+  /// `dst`'s buffer, growing the dense buffer array on first use.
+  std::vector<dht::UpdateRecord>& buffer_for(NodeId dst);
   [[nodiscard]] bool consume_credit();
   [[nodiscard]] std::size_t pending_cap() const noexcept;
   obs::Counter* lazy_counter(obs::Counter*& slot, const char* name);
@@ -164,8 +177,12 @@ class UpdateBatcher {
   net::Fabric& fabric_;
   BatchPolicy policy_;
   const dht::Placement* placement_;
-  // Ordered map: flush_all must visit destinations in a deterministic order.
-  std::map<NodeId, std::vector<dht::UpdateRecord>> pending_;
+  // Placement generation every buffered record is routed under.
+  std::uint64_t routed_generation_;
+  // Buffers indexed by raw(dst): flush_all walks them in ascending NodeId
+  // order, so flush traffic is deterministic. A drained buffer keeps its
+  // capacity for the next epoch.
+  std::vector<std::vector<dht::UpdateRecord>> pending_;
   // Causal context captured when a destination's buffer first receives a
   // record under a live ambient context: a batch deferred past its scan
   // epoch still ships attributed to the scan that produced it.

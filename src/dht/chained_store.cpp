@@ -6,7 +6,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <numeric>
+#include <utility>
 
 namespace concord::dht {
 
@@ -73,7 +73,7 @@ void ChainedDhtStore::reserve(std::size_t expected_hashes) {
   for (Entry* e : buckets_) {
     while (e != nullptr) {
       Entry* next = e->next;
-      const std::size_t b = e->hash.well_mixed() & (bigger.size() - 1);
+      const std::size_t b = probe_start(e->hash, bigger.size() - 1);
       e->next = bigger[b];
       bigger[b] = e;
       e = next;
@@ -88,7 +88,7 @@ void ChainedDhtStore::maybe_grow() {
   for (Entry* e : buckets_) {
     while (e != nullptr) {
       Entry* next = e->next;
-      const std::size_t b = e->hash.well_mixed() & (bigger.size() - 1);
+      const std::size_t b = probe_start(e->hash, bigger.size() - 1);
       e->next = bigger[b];
       bigger[b] = e;
       e = next;
@@ -139,13 +139,14 @@ bool ChainedDhtStore::remove(const ContentHash& h, EntityId entity) {
 }
 
 void ChainedDhtStore::apply_batch(std::span<const UpdateRecord> records) {
-  std::vector<std::uint32_t> order(records.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&records](std::uint32_t a, std::uint32_t b) {
-                     return records[a].hash.well_mixed() < records[b].hash.well_mixed();
-                   });
-  for (const std::uint32_t i : order) {
+  // Same (bucket, arrival index) order as DhtStore::apply_batch.
+  std::vector<std::pair<std::size_t, std::uint32_t>> order;
+  order.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    order.emplace_back(bucket_of(records[i].hash), static_cast<std::uint32_t>(i));
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [bucket, i] : order) {
     const UpdateRecord& rec = records[i];
     if (rec.insert) {
       insert(rec.hash, rec.entity);

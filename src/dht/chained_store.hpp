@@ -92,7 +92,7 @@ class ChainedDhtStore {
     return sizeof(Entry) + words_per_entry_ * sizeof(std::uint64_t);
   }
   [[nodiscard]] std::size_t bucket_of(const ContentHash& h) const noexcept {
-    return h.well_mixed() & (buckets_.size() - 1);
+    return probe_start(h, buckets_.size() - 1);
   }
 
   Entry* allocate_entry();

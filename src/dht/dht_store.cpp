@@ -8,7 +8,6 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <numeric>
 
 namespace concord::dht {
 
@@ -192,7 +191,7 @@ const std::uint64_t* DhtStore::slot_words(std::size_t slot) const {
 
 std::size_t DhtStore::find(const ContentHash& h) const noexcept {
   const std::size_t mask = ctrl_.size() - 1;
-  std::size_t idx = h.well_mixed() & mask;
+  std::size_t idx = probe_start(h, mask);
   for (std::size_t probes = 0; probes < ctrl_.size(); ++probes) {
     const std::uint8_t c = ctrl_[idx];
     if (c == kEmpty) return kNpos;
@@ -214,7 +213,7 @@ void DhtStore::rehash(std::size_t new_cap) {
   const std::size_t mask = new_cap - 1;
   for (std::size_t i = 0; i < ctrl_.size(); ++i) {
     if (ctrl_[i] < kInline1) continue;
-    std::size_t idx = hashes_[i].well_mixed() & mask;
+    std::size_t idx = probe_start(hashes_[i], mask);
     while (ctrl[idx] != kEmpty) idx = (idx + 1) & mask;
     hashes[idx] = hashes_[i];
     ctrl[idx] = ctrl_[i];
@@ -226,11 +225,12 @@ void DhtStore::rehash(std::size_t new_cap) {
   tombstones_ = 0;
 }
 
-void DhtStore::maybe_grow() {
+bool DhtStore::maybe_grow() {
   // Grow (and squeeze out tombstones) past 7/8 occupancy, keeping at least
   // one empty slot so probe loops terminate.
-  if ((size_ + 1 + tombstones_) * 8 <= ctrl_.size() * 7) return;
+  if ((size_ + 1 + tombstones_) * 8 <= ctrl_.size() * 7) return false;
   rehash(capacity_for(size_ + 1));
+  return true;
 }
 
 void DhtStore::maybe_shrink() {
@@ -248,7 +248,25 @@ void DhtStore::reserve(std::size_t expected_hashes) {
 bool DhtStore::insert(const ContentHash& h, EntityId entity) {
   assert(raw(entity) < max_entities_);
   cells_.inserts->inc();
-  const std::size_t slot = find(h);
+  // One walk serves both outcomes: it either meets the hash (existing entry)
+  // or ends at the first empty slot, remembering the first tombstone passed
+  // on the way — the deletion marker closest to home, which a new entry
+  // reuses.
+  std::size_t mask = ctrl_.size() - 1;
+  std::size_t idx = probe_start(h, mask);
+  std::size_t place = kNpos;
+  std::size_t slot = kNpos;
+  for (;;) {
+    const std::uint8_t c = ctrl_[idx];
+    if (c == kEmpty) break;
+    if (c == kTombstone) {
+      if (place == kNpos) place = idx;
+    } else if (hashes_[idx] == h) {
+      slot = idx;
+      break;
+    }
+    idx = (idx + 1) & mask;
+  }
   if (slot != kNpos) {
     const std::uint32_t e = raw(entity);
     switch (ctrl_[slot]) {
@@ -279,13 +297,13 @@ bool DhtStore::insert(const ContentHash& h, EntityId entity) {
       }
     }
   }
-  maybe_grow();
-  const std::size_t mask = ctrl_.size() - 1;
-  std::size_t idx = h.well_mixed() & mask;
-  std::size_t place = kNpos;
-  while (ctrl_[idx] != kEmpty) {
-    if (place == kNpos && ctrl_[idx] == kTombstone) place = idx;
-    idx = (idx + 1) & mask;
+  if (maybe_grow()) {
+    // The table was rebuilt without tombstones: place at the first empty
+    // slot of the new probe run.
+    mask = ctrl_.size() - 1;
+    idx = probe_start(h, mask);
+    while (ctrl_[idx] != kEmpty) idx = (idx + 1) & mask;
+    place = kNpos;
   }
   if (place == kNpos) {
     place = idx;
@@ -359,17 +377,19 @@ bool DhtStore::remove(const ContentHash& h, EntityId entity) {
 }
 
 void DhtStore::apply_batch(std::span<const UpdateRecord> records) {
-  // Group same-hash records together so each hash's probe run is walked
-  // while hot, sorting indices (not records) to keep the input immutable.
-  // The stable sort preserves the arrival order of same-hash records, which
-  // insert()/remove() pairs for one (hash, entity) depend on.
-  std::vector<std::uint32_t> order(records.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&records](std::uint32_t a, std::uint32_t b) {
-                     return records[a].hash.well_mixed() < records[b].hash.well_mixed();
-                   });
-  for (const std::uint32_t i : order) {
+  // Visit the table in ascending probe-start order so each run is walked
+  // while hot; the record index breaks ties, which keeps same-hash records
+  // in arrival order — insert()/remove() pairs for one (hash, entity)
+  // depend on it. Sorting index pairs leaves the input immutable.
+  const std::size_t mask = ctrl_.size() - 1;
+  batch_order_.clear();
+  batch_order_.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    batch_order_.emplace_back(probe_start(records[i].hash, mask),
+                              static_cast<std::uint32_t>(i));
+  }
+  std::sort(batch_order_.begin(), batch_order_.end());
+  for (const auto& [key, i] : batch_order_) {
     const UpdateRecord& rec = records[i];
     if (rec.insert) {
       insert(rec.hash, rec.entity);

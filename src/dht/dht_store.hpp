@@ -25,9 +25,11 @@
 //               efficiency over the use of GNU malloc").
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/pool_allocator.hpp"
@@ -46,6 +48,16 @@ struct UpdateRecord {
   EntityId entity{};
   bool insert = true;
 };
+
+/// Slot (or bucket) a probe for `h` starts at in a power-of-two table of
+/// `mask + 1` slots. Placement::home() reduces the low bits of well_mixed()
+/// modulo N, so on a power-of-two site every hash one shard holds shares its
+/// low log2(N) bits; starting the probe from the high half keeps a shard's
+/// probe starts spread over its whole table instead of 1/N of it.
+[[nodiscard]] constexpr std::size_t probe_start(const ContentHash& h,
+                                                std::size_t mask) noexcept {
+  return static_cast<std::size_t>(std::rotr(h.well_mixed(), 32)) & mask;
+}
 
 class DhtStore {
  public:
@@ -77,11 +89,13 @@ class DhtStore {
   /// the id was present. Erases the entry when its set drains.
   bool remove(const ContentHash& h, EntityId entity);
 
-  /// Applies a whole update batch. Records are grouped by hash before
-  /// application (a stable sort, so same-hash records keep their arrival
-  /// order — an insert/remove pair for one hash must not commute), which
-  /// turns a batch's worth of scattered probe walks into clustered ones.
-  /// Counter accounting is identical to per-record insert()/remove() calls.
+  /// Applies a whole update batch. Records are applied in (probe start,
+  /// arrival index) order, which turns a batch's worth of scattered probe
+  /// walks into one ascending sweep of the table; the index tie-break keeps
+  /// same-hash records in arrival order (an insert/remove pair for one hash
+  /// must not commute). Counter accounting is identical to per-record
+  /// insert()/remove() calls, and the call allocates nothing once the
+  /// store's sort scratch has grown to the largest batch seen.
   void apply_batch(std::span<const UpdateRecord> records);
 
   /// Number of entities believed to hold `h` (0 if unknown).
@@ -163,7 +177,7 @@ class DhtStore {
 
   [[nodiscard]] std::size_t find(const ContentHash& h) const noexcept;
   void rehash(std::size_t new_cap);
-  void maybe_grow();
+  bool maybe_grow();  // true when it rebuilt the table
   void maybe_shrink();
   [[nodiscard]] static std::size_t capacity_for(std::size_t entries) noexcept;
 
@@ -182,6 +196,7 @@ class DhtStore {
   std::unique_ptr<PoolAllocatorBase> pool_;  // kPool spill arena
   std::size_t malloc_bytes_ = 0;             // kMalloc spill accounting
   mutable std::vector<std::uint64_t> scratch_;  // inline-set materialization
+  std::vector<std::pair<std::size_t, std::uint32_t>> batch_order_;  // apply_batch sort
   obs::Registry* metrics_ = nullptr;            // bound registry, if any
   std::unique_ptr<obs::Registry> own_metrics_;  // fallback when unbound
   std::int32_t node_ = obs::Registry::kSiteWide;

@@ -70,6 +70,7 @@ class Placement {
   /// original single-owner behavior.
   void set_replication(std::uint32_t r) noexcept {
     replication_ = r < 1 ? 1 : (r > num_nodes_ ? num_nodes_ : r);
+    ++generation_;
   }
   [[nodiscard]] std::uint32_t replication() const noexcept { return replication_; }
 
@@ -128,9 +129,14 @@ class Placement {
     epoch_ = epoch;
     if (alive.empty()) alive.assign(num_nodes_, true);
     alive_ = std::move(alive);
+    ++generation_;
   }
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+  /// Bumped by every set_view() and set_replication(), whether or not the
+  /// epoch number moved: while it is unchanged, every owner()/replicas()
+  /// answer is unchanged too, so cached routing decisions stay valid.
+  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
   [[nodiscard]] const std::vector<bool>& alive() const noexcept { return alive_; }
   [[nodiscard]] std::uint32_t num_nodes() const noexcept { return num_nodes_; }
 
@@ -138,6 +144,7 @@ class Placement {
   std::uint32_t num_nodes_;
   std::uint32_t replication_ = 1;
   std::uint64_t epoch_ = 0;
+  std::uint64_t generation_ = 0;
   std::vector<bool> alive_;  // indexed by raw(NodeId)
 };
 

@@ -308,7 +308,7 @@ void Fabric::deliver_at(sim::Time when, Message msg, Delivery how) {
     ++depth;
     depth_hist(msg.dst).record(depth);
   }
-  sim_.at(when, [this, how, m = std::move(msg)]() {
+  sim_.at(when, [this, how, m = std::move(msg)]() mutable {
     if (how == Delivery::kQueued) --ingress_depth_[m.dst];
     const auto it = handlers_.find(m.dst);
     if (it == handlers_.end()) {

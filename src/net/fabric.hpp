@@ -140,7 +140,9 @@ struct TypeTraffic {
 
 class Fabric {
  public:
-  using Handler = std::function<void(const Message&)>;
+  /// Receives the delivered message by mutable reference: the datagram is
+  /// consumed by its delivery, so a handler may move the payload out.
+  using Handler = std::function<void(Message&)>;
   /// Invoked on the sender when a reliable send completes (acked or failed).
   using SendCallback = std::function<void(Status)>;
 

@@ -207,6 +207,91 @@ TEST(Batching, UnhandledMessagesAreCounted) {
   EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 1u);
 }
 
+/// One update record, keyed by a distinct hash per `i`.
+dht::UpdateRecord record(std::uint64_t i) {
+  return dht::UpdateRecord{ContentHash{i + 1, 0x5eedULL}, entity_id(1), true};
+}
+
+TEST(Batching, FlushAllShipsInAscendingNodeOrder) {
+  // Buffers filled in descending NodeId order still flush in ascending
+  // order: flush traffic must not depend on buffering history.
+  sim::Simulation simu{5};
+  net::Fabric fabric(simu, net::FabricParams{});
+  core::UpdateBatcher batcher(node_id(0), fabric, core::BatchPolicy{});
+  std::vector<core::StagedSend> stage;
+  batcher.set_send_stage(&stage);
+  for (std::uint32_t dst = 9; dst >= 1; --dst) {
+    batcher.add(node_id(dst), record(dst));
+    batcher.add(node_id(dst), record(dst + 100));
+  }
+  batcher.flush_all();
+  ASSERT_EQ(stage.size(), 9u);
+  for (std::size_t i = 0; i < stage.size(); ++i) {
+    EXPECT_EQ(stage[i].msg.dst, node_id(static_cast<std::uint32_t>(i + 1)));
+    EXPECT_EQ(stage[i].msg.as<core::DhtUpdateBatchMsg>().size(), 2u);
+  }
+  EXPECT_EQ(batcher.pending_records(), 0u);
+}
+
+TEST(Batching, RemapKeysOnPlacementGenerationNotEpoch) {
+  // A view change that keeps the epoch number (only `alive` differs) must
+  // still re-route buffered records: the batcher skips its remap only while
+  // the placement's generation is unchanged.
+  sim::Simulation simu{6};
+  net::Fabric fabric(simu, net::FabricParams{});
+  dht::Placement placement(4);
+  core::UpdateBatcher batcher(node_id(0), fabric, core::BatchPolicy{}, &placement);
+  std::vector<core::StagedSend> stage;
+  batcher.set_send_stage(&stage);
+
+  std::uint64_t i = 0;
+  while (placement.owner(record(i).hash) != node_id(2)) ++i;
+  batcher.add(node_id(2), record(i));
+  placement.set_view(placement.epoch(), {true, true, false, true});
+  ASSERT_EQ(placement.owner(record(i).hash), node_id(3));
+  batcher.flush_all();
+  ASSERT_EQ(stage.size(), 1u);
+  EXPECT_EQ(stage[0].msg.dst, node_id(3));
+
+  // Unchanged generation: records are trusted where their caller put them.
+  stage.clear();
+  batcher.add(node_id(3), record(i));
+  batcher.flush_all();
+  ASSERT_EQ(stage.size(), 1u);
+  EXPECT_EQ(stage[0].msg.dst, node_id(3));
+}
+
+TEST(Batching, TracedApplySpanCountsRecordsOfMovedPayload) {
+  // The staged inbox takes a batch datagram's payload by move; the apply
+  // marker recorded at delivery must still carry the full record count.
+  core::ClusterParams p = make_params(true, 0.0, 17);
+  p.trace_propagation = true;
+  core::Cluster cluster(p);
+  populate(cluster, 64);
+  (void)cluster.scan_all();
+
+  std::uint64_t span_records = 0;
+  std::size_t spans = 0;
+  const obs::Tracer& tracer = cluster.tracer();
+  for (std::size_t id = 0; id < tracer.span_count(); ++id) {
+    const obs::TraceSpan& span = tracer.span(id);
+    if (span.name != "apply_batch") continue;
+    ++spans;
+    for (const obs::TraceArg& arg : span.args) {
+      if (arg.key == "records") span_records += arg.value;
+    }
+  }
+  ASSERT_GT(spans, 0u);
+  EXPECT_EQ(span_records, cluster.metrics().counter_total("core", "updates_batched"));
+  EXPECT_EQ(cluster.fabric().type_msgs(net::MsgType::kDhtUpdateBatch), spans);
+
+  // And the moved payloads were applied: batched contents match unbatched.
+  core::Cluster unbatched(make_params(false, 0.0, 17));
+  populate(unbatched, 64);
+  (void)unbatched.scan_all();
+  EXPECT_EQ(dht_dump(cluster), dht_dump(unbatched));
+}
+
 TEST(Batching, ApplyBatchMatchesSequentialApplication) {
   dht::DhtStore batched_store(16);
   dht::DhtStore serial_store(16);

@@ -297,6 +297,36 @@ TEST(Placement, SpreadsHashesRoughlyEvenly) {
   }
 }
 
+TEST(Placement, ShardHashesSpreadOverProbeStarts) {
+  // Placement reduces well_mixed() modulo N, so on a power-of-two site the
+  // hashes one shard holds share their low log2(N) bits. The store's probe
+  // start must not reuse those bits: 1024 hashes homed on one node should
+  // land on close to the ~806 distinct starts random placement gives in a
+  // 2048-slot table (probing from the low bits gave 8 at 256 nodes).
+  constexpr std::size_t kMask = 2048 - 1;
+  for (const std::uint32_t nodes : {8u, 32u, 256u, 4096u}) {
+    const Placement p(nodes);
+    std::set<std::size_t> starts;
+    std::size_t homed = 0;
+    for (std::uint64_t i = 0; homed < 1024; ++i) {
+      if (p.home(h(i)) != 0) continue;
+      ++homed;
+      starts.insert(probe_start(h(i), kMask));
+    }
+    EXPECT_GE(starts.size(), 600u) << nodes << " nodes";
+  }
+}
+
+TEST(Placement, GenerationMovesWithEveryViewAndReplicationChange) {
+  Placement p(4);
+  const std::uint64_t g0 = p.generation();
+  p.set_view(0, {true, false, true, true});  // same epoch number, new view
+  EXPECT_GT(p.generation(), g0);
+  const std::uint64_t g1 = p.generation();
+  p.set_replication(2);
+  EXPECT_GT(p.generation(), g1);
+}
+
 TEST(Placement, SingleNodeOwnsEverything) {
   const Placement p(1);
   for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(raw(p.owner(h(i))), 0u);
