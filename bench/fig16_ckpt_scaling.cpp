@@ -5,9 +5,15 @@
 // collective checkpointing stays within a constant factor of the
 // embarrassingly parallel raw checkpoint — the asymptotic cost of adding
 // redundancy awareness is a constant.
+//
+// Every ConCORD checkpoint is restored and compared with the live memory of
+// each SE; the bench exits 1 when a command status is not ok or a restore is
+// not bit-exact. `--smoke` sweeps 1, 2 and 4 nodes only.
+#include <cstring>
 #include <memory>
 
 #include "bench_util.hpp"
+#include "services/checkpoint_format.hpp"
 #include "services/collective_checkpoint.hpp"
 #include "services/raw_checkpoint.hpp"
 #include "svc/command_engine.hpp"
@@ -22,7 +28,24 @@ constexpr std::size_t kBlocksPerSe = 1024;  // 4 MB/process (paper: 1 GB)
 struct Row {
   std::uint32_t nodes;
   double rawgz_ms, concord_ms, raw_ms;
+  bool exact;  // command ok and every SE restored bit-exact
 };
+
+/// Restores every SE from the checkpoint and compares it with live memory.
+bool restores_exact(core::Cluster& cluster,
+                    const services::CollectiveCheckpointService& ckpt,
+                    const std::vector<EntityId>& ses) {
+  for (const EntityId e : ses) {
+    const auto restored =
+        services::restore_entity(cluster.fs(), ckpt.se_path(e), ckpt.shared_path());
+    const mem::MemoryEntity& ent = cluster.entity(e);
+    if (!restored.has_value() || restored.value().size() != ent.memory_bytes() ||
+        std::memcmp(restored.value().data(), ent.block(0).data(), ent.memory_bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 Row run(std::uint32_t nodes) {
   core::ClusterParams p;
@@ -51,22 +74,32 @@ Row run(std::uint32_t nodes) {
   spec.service_entities = ses;
   const svc::CommandStats stats = engine.execute(ckpt, spec);
   r.concord_ms = ok(stats.status) ? bench::to_ms(stats.latency()) : -1.0;
+  r.exact = ok(stats.status) && restores_exact(*cluster, ckpt, ses);
   return r;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::banner(
       "Figure 16 — checkpoint response time vs #SEs = #nodes (1 GB/process scaled)",
       "response time flat in node count for all strategies; ConCORD within a "
       "constant of raw",
       "4 MB/process of 4 KB pages (paper: 1 GB/process); sweep 1-20 nodes");
 
-  std::printf("%8s %14s %14s %12s\n", "nodes", "Raw-gzip ms", "ConCORD ms", "Raw ms");
-  for (const std::uint32_t nodes : {1u, 2u, 4u, 8u, 12u, 16u, 20u}) {
+  std::printf("%8s %14s %14s %12s %10s\n", "nodes", "Raw-gzip ms", "ConCORD ms", "Raw ms",
+              "restore");
+  std::vector<std::uint32_t> sweep = {1u, 2u, 4u, 8u, 12u, 16u, 20u};
+  if (smoke) sweep = {1u, 2u, 4u};
+  bool all_exact = true;
+  for (const std::uint32_t nodes : sweep) {
     const Row r = run(nodes);
-    std::printf("%8u %14.2f %14.2f %12.2f\n", r.nodes, r.rawgz_ms, r.concord_ms, r.raw_ms);
+    std::printf("%8u %14.2f %14.2f %12.2f %10s\n", r.nodes, r.rawgz_ms, r.concord_ms, r.raw_ms,
+                r.exact ? "exact" : "FAILED");
+    all_exact = all_exact && r.exact;
   }
-  return 0;
+  std::printf("\n  command ok and every SE restored bit-exact: %s\n",
+              all_exact ? "yes" : "NO");
+  return all_exact ? 0 : 1;
 }

@@ -30,10 +30,11 @@ class CostModel {
   static const CostModel& instance();
 
   /// Hashing `bytes` of memory with `algo`. Calibrated on
-  /// BlockHasher::hash_many, the four-blocks-per-pass path the scan, local
-  /// phase and migration loops run, so the few single-block rehashes
-  /// (dispatch verification, integrity scrub) are charged at that batched
-  /// rate too.
+  /// BlockHasher::hash_many, the four-blocks-per-pass path the scan,
+  /// migration and the command's per-SE ground-truth pass (dispatch
+  /// verification of SE blocks and the local phase) run. The few
+  /// single-block rehashes left (verification of a participant's block,
+  /// integrity scrub) are charged at that batched rate too.
   [[nodiscard]] sim::Time hash_cost(hash::Algorithm algo, std::size_t bytes) const {
     const double per_byte =
         algo == hash::Algorithm::kMd5 ? md5_ns_per_byte : superfast_ns_per_byte;

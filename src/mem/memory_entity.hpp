@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,10 +58,13 @@ class MemoryEntity {
   }
 
   /// Mutable access *through the write-tracking path*: marks the block dirty
-  /// exactly like a hardware dirty bit / CoW fault would (§3.1).
+  /// exactly like a hardware dirty bit / CoW fault would (§3.1), and bumps
+  /// writes(). The count moves at the call, so write through the span before
+  /// anything else reads the entity.
   [[nodiscard]] std::span<std::byte> write_block(BlockIndex b) noexcept {
     assert(b < num_blocks());
     dirty_.set(b);
+    ++writes_;
     return {data_.data() + b * block_size_, block_size_};
   }
 
@@ -69,6 +73,12 @@ class MemoryEntity {
     assert(content.size() == dst.size());
     std::copy(content.begin(), content.end(), dst.begin());
   }
+
+  /// Count of write_block() calls over the entity's lifetime. write_block is
+  /// the only mutable accessor of the bytes, so an unchanged count means
+  /// unchanged content — what lets a reader keep hashes it took earlier.
+  /// Unlike dirty(), a monitor scan does not reset it.
+  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
 
   /// Blocks written since the last consume_dirty(). Read-only view.
   [[nodiscard]] const Bitmap& dirty() const noexcept { return dirty_; }
@@ -88,6 +98,7 @@ class MemoryEntity {
   std::size_t block_size_;
   std::vector<std::byte> data_;
   Bitmap dirty_;
+  std::uint64_t writes_ = 0;
 };
 
 }  // namespace concord::mem

@@ -82,10 +82,11 @@ class ApplicationService {
   [[nodiscard]] virtual Status local_start(NodeId node, EntityId entity) = 0;
 
   /// Invoked for every memory block of every SE, with the block's *current*
-  /// content and hash (ground truth, freshly hashed). `handled` is the
-  /// private value from a successful collective_command() for this hash, or
-  /// nullptr if ConCORD did not handle it (unknown, stale, or the handled
-  /// notification was lost) — the service must then cover the block itself.
+  /// content and hash (ground truth, hashed during this command). `handled`
+  /// is the private value from a successful collective_command() for this
+  /// hash, or nullptr if ConCORD did not handle it (unknown, stale, or the
+  /// handled notification was lost) — the service must then cover the block
+  /// itself.
   [[nodiscard]] virtual Status local_command(NodeId node, EntityId entity, BlockIndex block,
                                const ContentHash& hash, std::span<const std::byte> data,
                                const std::uint64_t* handled) = 0;

@@ -74,6 +74,17 @@ struct CommandEngine::Execution {
   // Per-node handled tables: hash -> private value (SE hosts only).
   std::vector<std::unordered_map<ContentHash, std::uint64_t>> handled;
 
+  // Per-SE ground truth, indexed by raw(EntityId): every block's current
+  // hash from one batched pass, shared by dispatch verification and the
+  // local phase. `writes` is the entity's writes() at that pass; a differing
+  // value means the bytes changed since, and the pass is retaken.
+  struct SeHashes {
+    std::vector<ContentHash> hashes;
+    std::uint64_t writes = 0;
+    bool taken = false;
+  };
+  std::vector<SeHashes> se_hashes;
+
   // Open trace spans: the whole command, the controller's current phase,
   // and one drive span per shard node.
   obs::Tracer::SpanId cmd_span = obs::Tracer::kInvalid;
@@ -614,18 +625,24 @@ void CommandEngine::handle_dispatch(core::ServiceDaemon& d, const DispatchMsg& d
   sim::Time cost = cm.callback_cost();  // lookup + dispatch bookkeeping
   // Ground truth check: does the chosen entity still hold content with this
   // hash? The block map may itself be stale (content mutated after the last
-  // scan), so verify by rehashing before handing the pointer to the service
-  // — this is what makes "handled" trustworthy.
+  // scan), so verify against a hash of the current bytes before handing the
+  // pointer to the service — this is what makes "handled" trustworthy.
   [&] {
     if (!cluster_.registry().alive(dm.chosen)) return;
     const auto* locs = d.block_map().find(dm.hash);
     if (locs == nullptr) return;
+    const bool is_se = ex.se_set.test(raw(dm.chosen));
     for (const mem::BlockLocation& loc : *locs) {
       if (loc.entity != dm.chosen) continue;
       const mem::MemoryEntity& e = cluster_.entity(loc.entity);
       const auto data = e.block(loc.block);
       cost += cm.hash_cost(algo, data.size());  // verification rehash
-      if (d.monitor().hasher()(data) != dm.hash) continue;  // stale map entry
+      // An SE's local phase hashes all its blocks anyway, so verification
+      // reads that same batched pass; a PE has no local phase, so only this
+      // block is rehashed.
+      const ContentHash actual =
+          is_se ? se_ground_truth(d, e)[loc.block] : d.monitor().hasher()(data);
+      if (actual != dm.hash) continue;  // stale map entry
       const Result<std::uint64_t> r =
           ex.service->collective_command(n, dm.chosen, dm.hash, data);
       // The service callback's work is charged as memcpy-class access to
@@ -727,6 +744,20 @@ void CommandEngine::check_shard_drained(core::ServiceDaemon& d) {
   }
 }
 
+// ------------------------------------------------------------ ground truth
+
+const std::vector<ContentHash>& CommandEngine::se_ground_truth(core::ServiceDaemon& d,
+                                                               const mem::MemoryEntity& e) {
+  Execution::SeHashes& gt = active_->se_hashes[raw(e.id())];
+  if (!gt.taken || gt.writes != e.writes()) {
+    gt.hashes.resize(e.num_blocks());
+    d.monitor().hasher().hash_many(e.blocks(), gt.hashes);
+    gt.writes = e.writes();
+    gt.taken = true;
+  }
+  return gt.hashes;
+}
+
 // ------------------------------------------------------------- local phase
 
 Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
@@ -744,15 +775,14 @@ Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
     if (!ok(s)) st = s;
     cost += cm.callback_cost();
 
-    // Ground truth: every block of the SE freshly hashed, all in one
-    // multi-buffer pass before the service sees any of them.
+    // Ground truth: every block of the SE hashed before the service sees
+    // any of them — the pass dispatch verification took, if the SE is
+    // unwritten since.
     const mem::MemoryEntity& e = cluster_.entity(eid);
-    const std::vector<std::span<const std::byte>> blocks = e.blocks();
-    std::vector<ContentHash> hashes(blocks.size());
-    d.monitor().hasher().hash_many(blocks, hashes);
+    const std::vector<ContentHash>& hashes = se_ground_truth(d, e);
 
     for (BlockIndex b = 0; b < e.num_blocks(); ++b) {
-      const auto data = blocks[b];
+      const auto data = e.block(b);
       const ContentHash h = hashes[b];
       const auto hit = handled.find(h);
       const std::uint64_t* priv = hit == handled.end() ? nullptr : &hit->second;
@@ -783,6 +813,7 @@ CommandStats CommandEngine::execute(ApplicationService& service, const CommandSp
   ex.service = &service;
   ex.spec = &spec;
   ex.handled.resize(cluster_.num_nodes());
+  ex.se_hashes.resize(cluster_.registry().size());
 
   ex.se_set = Bitmap(cluster_.params().max_entities);
   ex.scope_set = Bitmap(cluster_.params().max_entities);

@@ -16,17 +16,27 @@
 //               or random), and dispatches collective_command() to the
 //               replica's host — pipelined, with retry on a different
 //               replica when the host reports the content stale/gone
-//               (verified by rehashing before use). Successful handling is
-//               redistributed to SE hosts as best-effort "handled(hash,
-//               private)" datagrams — the content-hash-exchange traffic of
-//               §3.4; losing one only costs efficiency, never correctness.
-//               Barrier when every shard drains.
+//               (verified against the current content before use).
+//               Successful handling is redistributed to SE hosts as
+//               best-effort "handled(hash, private)" datagrams — the
+//               content-hash-exchange traffic of §3.4; losing one only costs
+//               efficiency, never correctness. Barrier when every shard
+//               drains.
 //   coll-fin    collective_finalize() per scope entity; barrier.
-//   local       local_start(); then for each SE block: rehash the *current*
-//               content and invoke local_command() with the handled private
-//               value if this node received one for that hash;
-//               local_finalize(); barrier.
+//   local       local_start(); then for each SE block: take the hash of the
+//               *current* content and invoke local_command() with the
+//               handled private value if this node received one for that
+//               hash; local_finalize(); barrier.
 //   deinit      service_deinit() on scope nodes; barrier; command completes.
+//
+// Ground truth is hashed once per SE per command: the first time an SE's
+// host needs it (a dispatch verified against the SE, or else its local
+// phase), every block of the SE is hashed in one batched pass, and both
+// steps read that pass. The pass is retaken whenever the entity's writes()
+// count has moved since, so content rewritten mid-command is never trusted
+// under its old hash. A dispatch to a participant rehashes just that block.
+// The virtual clock still charges one block hash per verification and per
+// local-phase block; only host time is saved.
 //
 // All computation is charged to virtual time by measuring the real cost on
 // the host clock; all messages ride the Fabric with its latency/bandwidth/
@@ -140,6 +150,11 @@ class CommandEngine {
   void handle_dispatch_reply(core::ServiceDaemon& d, const wire::DispatchReplyMsg& r);
   void finish_seq(core::ServiceDaemon& d, std::uint64_t seq, bool success);
   void check_shard_drained(core::ServiceDaemon& d);
+
+  // Ground truth at an SE host: the hash of every block of SE `e`, from one
+  // BlockHasher::hash_many pass per command, retaken when e.writes() moved.
+  const std::vector<ContentHash>& se_ground_truth(core::ServiceDaemon& d,
+                                                  const mem::MemoryEntity& e);
 
   // Local phase at an SE host.
   [[nodiscard]] Status run_local_phase(core::ServiceDaemon& d, sim::Time& cost);

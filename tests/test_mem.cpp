@@ -45,6 +45,34 @@ TEST(MemoryEntity, WriteMarksDirtyAndConsumeClears) {
   EXPECT_EQ(e.dirty().count(), 0u);
 }
 
+TEST(MemoryEntity, WritesCountsEveryWriteAndNothingElse) {
+  MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 4, kBlk);
+  EXPECT_EQ(e.writes(), 0u);
+
+  // Readers and the monitor's dirty-set hand-off leave it alone.
+  (void)e.block(1);
+  (void)e.blocks();
+  (void)e.dirty();
+  (void)e.consume_dirty();
+  EXPECT_EQ(e.writes(), 0u);
+
+  // Both write_block overloads bump it, once per call, also when the bytes
+  // written equal the bytes already there.
+  (void)e.write_block(2);
+  EXPECT_EQ(e.writes(), 1u);
+  const std::vector<std::byte> content(kBlk, std::byte{0x5a});
+  e.write_block(3, content);
+  EXPECT_EQ(e.writes(), 2u);
+  e.write_block(3, content);
+  EXPECT_EQ(e.writes(), 3u);
+
+  // consume_dirty() resets the dirty set, not the write count.
+  const Bitmap taken = e.consume_dirty();
+  EXPECT_EQ(taken.count(), 2u);
+  EXPECT_EQ(e.dirty().count(), 0u);
+  EXPECT_EQ(e.writes(), 3u);
+}
+
 struct Collected {
   std::vector<ContentUpdate> updates;
   MemoryUpdateMonitor::EmitFn emit() {

@@ -1,11 +1,16 @@
 // Tests for the content-aware service command engine (§4): phase ordering,
 // coverage invariants, replica retry on staleness, batch mode, select
-// callback, and participant entities.
+// callback, participant entities, and an independent rehash of everything
+// the engine hands a service.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 
+#include "hash/block_hasher.hpp"
 #include "services/null_service.hpp"
 #include "svc/command_engine.hpp"
 #include "workload/workloads.hpp"
@@ -340,6 +345,130 @@ TEST(CommandEngine, DepartedReplicaTriggersRetry) {
   ASSERT_TRUE(ok(stats.status));
   EXPECT_EQ(stats.collective_handled, stats.distinct_hashes);  // a or d served all
   EXPECT_EQ(stats.local_uncovered, 0u);
+}
+
+/// Independent oracle: rehashes every (hash, data) pair the engine hands
+/// out, in both phases, with its own BlockHasher, and counts mismatches. It
+/// also records what the local phase said about each SE block, so coverage
+/// and the hash of rewritten blocks can be checked.
+class VerifyingService : public RecordingService {
+ public:
+  struct LocalSeen {
+    int calls = 0;
+    ContentHash hash;
+    bool handled = false;
+  };
+  hash::BlockHasher oracle{hash::Algorithm::kMd5};
+  std::uint64_t mismatches = 0;
+  std::set<EntityId> commanded;  // entities collective_command() ran on
+  std::map<std::pair<std::uint32_t, BlockIndex>, LocalSeen> local_seen;
+
+  Result<std::uint64_t> collective_command(NodeId n, EntityId e, const ContentHash& h,
+                                           std::span<const std::byte> d) override {
+    if (oracle(d) != h) ++mismatches;
+    commanded.insert(e);
+    return RecordingService::collective_command(n, e, h, d);
+  }
+  Status local_command(NodeId n, EntityId e, BlockIndex b, const ContentHash& h,
+                       std::span<const std::byte> d, const std::uint64_t* handled) override {
+    if (oracle(d) != h) ++mismatches;
+    LocalSeen& seen = local_seen[{raw(e), b}];
+    ++seen.calls;
+    seen.hash = h;
+    seen.handled = handled != nullptr;
+    return RecordingService::local_command(n, e, b, h, d, handled);
+  }
+};
+
+TEST(CommandEngine, OracleAgreesOnStaleDht) {
+  auto c = make_cluster(4, 77);
+  std::vector<EntityId> ses;
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    ses.push_back(add_entity(*c, n, workload::Kind::kMoldy, n + 20, 24));
+  }
+  // A participant holding a copy of the first SE: its replicas, stale or
+  // not, go through the single-block verification path, the SEs' through
+  // the batched pass.
+  mem::MemoryEntity& copy = c->create_entity(node_id(1), EntityKind::kProcess, 24, kBlk);
+  for (BlockIndex b = 0; b < 24; ++b) copy.write_block(b, c->entity(ses[0]).block(b));
+  const EntityId pe = copy.id();
+  (void)c->scan_all();
+  for (const EntityId e : ses) workload::mutate(c->entity(e), 0.5, 1234);
+  workload::mutate(c->entity(pe), 0.5, 4321);
+
+  VerifyingService svc;
+  CommandEngine engine(*c);
+  CommandSpec spec;
+  spec.service_entities = ses;
+  spec.participants = {pe};
+  const CommandStats stats = engine.execute(svc, spec);
+  ASSERT_TRUE(ok(stats.status));
+  EXPECT_EQ(svc.mismatches, 0u);
+  EXPECT_TRUE(svc.commanded.contains(pe));
+  EXPECT_GT(stats.collective_retries, 0u);
+  EXPECT_GT(stats.collective_stale, 0u);
+  EXPECT_EQ(stats.collective_handled + stats.collective_stale, stats.distinct_hashes);
+  EXPECT_EQ(svc.local_seen.size(), 4u * 24u);
+  for (const auto& [key, seen] : svc.local_seen) EXPECT_EQ(seen.calls, 1);
+}
+
+TEST(CommandEngine, OracleAgreesWhenAnSeIsRewrittenMidCommand) {
+  // The first collective_command() on SE `b` rewrites another block of `b`
+  // with fresh unique content: hashes the engine took of `b` before that
+  // write must not be trusted after it.
+  class RewritingService final : public VerifyingService {
+   public:
+    core::Cluster* cluster = nullptr;
+    EntityId target{};
+    std::optional<BlockIndex> rewritten;
+    std::vector<std::byte> fresh;
+
+    Result<std::uint64_t> collective_command(NodeId n, EntityId e, const ContentHash& h,
+                                             std::span<const std::byte> d) override {
+      auto r = VerifyingService::collective_command(n, e, h, d);
+      if (e == target && !rewritten.has_value()) {
+        mem::MemoryEntity& ent = cluster->entity(e);
+        const auto at = static_cast<BlockIndex>((d.data() - ent.block(0).data()) /
+                                                static_cast<std::ptrdiff_t>(kBlk));
+        rewritten = (at + 1) % ent.num_blocks();
+        fresh.assign(kBlk, std::byte{0xa5});
+        fresh[0] = std::byte{0x17};
+        fresh[kBlk - 1] = std::byte{0x71};
+        ent.write_block(*rewritten, fresh);
+      }
+      return r;
+    }
+  };
+
+  auto c = make_cluster(4, 91);
+  std::vector<EntityId> ses;
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    ses.push_back(add_entity(*c, n, workload::Kind::kMoldy, n + 60, 24));
+  }
+  (void)c->scan_all();
+
+  RewritingService svc;
+  svc.cluster = c.get();
+  svc.target = ses[1];
+  CommandEngine engine(*c);
+  CommandSpec spec;
+  spec.service_entities = ses;
+  const CommandStats stats = engine.execute(svc, spec);
+  ASSERT_TRUE(ok(stats.status));
+  ASSERT_TRUE(svc.rewritten.has_value());
+  EXPECT_EQ(svc.mismatches, 0u);
+
+  // The rewritten block reaches the local phase under its new hash, which
+  // nothing handled collectively.
+  const auto k = svc.local_seen.find({raw(svc.target), *svc.rewritten});
+  ASSERT_NE(k, svc.local_seen.end());
+  EXPECT_EQ(k->second.hash, svc.oracle(svc.fresh));
+  EXPECT_FALSE(k->second.handled);
+
+  // Every block of every SE still covered exactly once.
+  EXPECT_EQ(stats.local_blocks, 4u * 24u);
+  EXPECT_EQ(svc.local_seen.size(), 4u * 24u);
+  for (const auto& [key, seen] : svc.local_seen) EXPECT_EQ(seen.calls, 1);
 }
 
 }  // namespace
