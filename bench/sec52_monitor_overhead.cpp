@@ -11,11 +11,14 @@
 //
 // This binary is also the google-benchmark microbenchmark for the two hash
 // functions (run with --benchmark_filter to see per-page costs): *Page
-// hashes one page per call, *Batch 64 pages per hash_many() call.
+// hashes one page per call, *Batch 64 pages per hash_many() call, and
+// *Batch/<isa> the same 64 pages through one tier of hash::batch_kernels()
+// (every tier this CPU runs), `lanes` pages per kernel call.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench_util.hpp"
 #include "core/service_daemon.hpp"
@@ -37,6 +40,13 @@ void print_scan_table() {
       "128 MB process image, full-scan mode; modern host hashes faster than the "
       "2004-era testbed, so absolute % is lower; MD5/SuperHash ratio is the shape");
 
+  const hash::BatchKernel& tier = hash::batch_kernels().back();
+  std::printf("hash_many tier: %s, %zu lanes (CPU tiers:",
+              std::string(tier.isa).c_str(), tier.lanes);
+  for (const hash::BatchKernel& t : hash::batch_kernels()) {
+    std::printf(" %s", std::string(t.isa).c_str());
+  }
+  std::printf(")\n\n");
   std::printf("%12s %14s %14s %14s %16s\n", "hash", "scan ms", "CPU% @2s", "CPU% @5s",
               "update Gbps %");
   for (const hash::Algorithm algo : {hash::Algorithm::kMd5, hash::Algorithm::kSuperFast}) {
@@ -76,22 +86,45 @@ void bm_hash_page(benchmark::State& state, hash::Algorithm algo) {
                           static_cast<std::int64_t>(kDefaultBlockSize));
 }
 
+constexpr std::size_t kBatchPages = 64;
+
+std::vector<std::byte> random_pages() {
+  std::vector<std::byte> buf(kBatchPages * kDefaultBlockSize);
+  Rng rng(1);
+  for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xff);
+  return buf;
+}
+
 /// hash_many() over 64 distinct pages: the multi-buffer path that monitor
 /// scans, the command's local phase and migration run.
 void bm_hash_batch(benchmark::State& state, hash::Algorithm algo) {
-  constexpr std::size_t kPages = 64;
-  std::vector<std::byte> buf(kPages * kDefaultBlockSize);
-  Rng rng(1);
-  for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xff);
+  const std::vector<std::byte> buf = random_pages();
   std::vector<std::span<const std::byte>> pages;
-  for (std::size_t p = 0; p < kPages; ++p) {
+  for (std::size_t p = 0; p < kBatchPages; ++p) {
     pages.push_back(std::span<const std::byte>(buf).subspan(p * kDefaultBlockSize,
                                                             kDefaultBlockSize));
   }
-  std::vector<ContentHash> out(kPages);
+  std::vector<ContentHash> out(kBatchPages);
   const hash::BlockHasher hasher(algo);
   for (auto _ : state) {
     hasher.hash_many(pages, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+
+/// The same 64 pages through one tier's kernel, `lanes` pages per call.
+void bm_hash_tier(benchmark::State& state, hash::BatchKernel::Fn kernel, std::size_t lanes) {
+  const std::vector<std::byte> buf = random_pages();
+  std::vector<const std::byte*> pages;
+  for (std::size_t p = 0; p < kBatchPages; ++p) pages.push_back(&buf[p * kDefaultBlockSize]);
+  std::vector<ContentHash> out(kBatchPages);
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < kBatchPages; p += lanes) {
+      kernel(&pages[p], kDefaultBlockSize, &out[p]);
+    }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -116,6 +149,12 @@ BENCHMARK(BM_SuperFastBatch);
 
 int main(int argc, char** argv) {
   print_scan_table();
+  for (const hash::BatchKernel& t : hash::batch_kernels()) {
+    const std::string isa(t.isa);
+    benchmark::RegisterBenchmark(("BM_Md5Batch/" + isa).c_str(), bm_hash_tier, t.md5, t.lanes);
+    benchmark::RegisterBenchmark(("BM_SuperFastBatch/" + isa).c_str(), bm_hash_tier,
+                                 t.superfast, t.lanes);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

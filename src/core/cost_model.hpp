@@ -30,7 +30,8 @@ class CostModel {
   static const CostModel& instance();
 
   /// Hashing `bytes` of memory with `algo`. Calibrated on
-  /// BlockHasher::hash_many, the four-blocks-per-pass path the scan,
+  /// BlockHasher::hash_many (at the widest vector tier the host runs, so
+  /// the unit costs follow the host's lane count), the path the scan,
   /// migration and the command's per-SE ground-truth pass (dispatch
   /// verification of SE blocks and the local phase) run. The few
   /// single-block rehashes left (verification of a participant's block,

@@ -10,9 +10,9 @@ namespace concord::hash {
 
 namespace {
 
+using detail::kLanesOf;
 using detail::load_le32;
 using detail::rotl;
-using detail::U32x4;
 
 // Per-step shift amounts (RFC 1321 §3.4).
 constexpr int kShift[64] = {
@@ -64,7 +64,9 @@ template <std::size_t I, typename W>
   } else {
     f = c ^ (b | ~d);
   }
-  a = b + rotl<kShift[I]>(a + f + kSine[I] + m[message_index(I)]);
+  W t = a + f + kSine[I] + m[message_index(I)];
+  rotl<kShift[I]>(t);
+  a = b + t;
 }
 
 template <typename W, std::size_t... I>
@@ -82,14 +84,59 @@ template <typename W>
 }
 
 /// Digest bytes are the state words little-endian; ContentHash reads them
-/// big-endian (byte 0 is the top byte of `hi`).
-ContentHash fold_state(const std::uint32_t (&s)[4]) noexcept {
+/// big-endian (byte 0 is the top byte of `hi`). Always inlined: an
+/// out-of-line call from the AVX kernels led GCC at -O2 to return from them
+/// without a vzeroupper, leaving the upper vector state dirty for the
+/// caller's SSE code.
+[[gnu::always_inline]] inline ContentHash fold_state(const std::uint32_t (&s)[4]) noexcept {
   ContentHash h;
   for (std::size_t r = 0; r < 4; ++r) {
     std::uint64_t& half = r < 2 ? h.hi : h.lo;
     for (int i = 0; i < 4; ++i) half = (half << 8) | ((s[r] >> (8 * i)) & 0xff);
   }
   return h;
+}
+
+/// Md5::content_hash() of kLanesOf<W> buffers of `len` bytes each, one
+/// buffer per lane of W, in one lockstep pass.
+template <typename W>
+[[gnu::always_inline]] inline void content_hash_lanes(const std::byte* const* blocks,
+                                                      std::size_t len,
+                                                      ContentHash* out) noexcept {
+  constexpr std::size_t kN = kLanesOf<W>;
+  W state[4] = {W{} + kInit[0], W{} + kInit[1], W{} + kInit[2], W{} + kInit[3]};
+  W m[16] = {};
+
+  std::size_t off = 0;
+  for (; len - off >= 64; off += 64) {
+    for (std::size_t i = 0; i < 16; ++i) load_le32(m[i], blocks, off + 4 * i);
+    md5_compress(state, m);
+  }
+
+  // Padding (RFC 1321 §3.1-3.2): the tail, 0x80, zeros and the 64-bit
+  // little-endian bit length, in one chunk if the tail leaves room for the
+  // length and in two otherwise. Equal lengths give every lane the same shape.
+  const std::size_t rem = len - off;
+  const std::size_t tail_len = rem < 56 ? 64 : 128;
+  const std::uint64_t bit_len = std::uint64_t{len} * 8;
+  std::byte tail[kN][128] = {};
+  const std::byte* lanes[kN];
+  for (std::size_t l = 0; l < kN; ++l) {
+    lanes[l] = tail[l];
+    if (rem != 0) std::memcpy(tail[l], blocks[l] + off, rem);
+    tail[l][rem] = std::byte{0x80};
+    for (std::size_t i = 0; i < 8; ++i) {
+      tail[l][tail_len - 8 + i] = static_cast<std::byte>(bit_len >> (8 * i));
+    }
+  }
+  for (std::size_t t = 0; t < tail_len; t += 64) {
+    for (std::size_t i = 0; i < 16; ++i) load_le32(m[i], lanes, t + 4 * i);
+    md5_compress(state, m);
+  }
+
+  for (std::size_t l = 0; l < kN; ++l) {
+    out[l] = fold_state({state[0][l], state[1][l], state[2][l], state[3][l]});
+  }
 }
 
 }  // namespace
@@ -168,41 +215,24 @@ ContentHash Md5::content_hash(std::span<const std::byte> data) noexcept {
   return fold_state(md5.state_);
 }
 
-void Md5::content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
-                          ContentHash (&out)[4]) noexcept {
-  U32x4 state[4] = {U32x4{} + kInit[0], U32x4{} + kInit[1], U32x4{} + kInit[2],
-                     U32x4{} + kInit[3]};
-  U32x4 m[16] = {};
+namespace detail {
 
-  std::size_t off = 0;
-  for (; len - off >= 64; off += 64) {
-    for (std::size_t i = 0; i < 16; ++i) m[i] = detail::load_le32x4(blocks, off + 4 * i);
-    md5_compress(state, m);
-  }
-
-  // Padding (RFC 1321 §3.1-3.2): the tail, 0x80, zeros and the 64-bit
-  // little-endian bit length, in one chunk if the tail leaves room for the
-  // length and in two otherwise. Equal lengths give every lane the same shape.
-  const std::size_t rem = len - off;
-  const std::size_t tail_len = rem < 56 ? 64 : 128;
-  const std::uint64_t bit_len = std::uint64_t{len} * 8;
-  std::byte tail[4][128] = {};
-  const std::byte* const lanes[4] = {tail[0], tail[1], tail[2], tail[3]};
-  for (std::size_t l = 0; l < 4; ++l) {
-    if (rem != 0) std::memcpy(tail[l], blocks[l] + off, rem);
-    tail[l][rem] = std::byte{0x80};
-    for (std::size_t i = 0; i < 8; ++i) {
-      tail[l][tail_len - 8 + i] = static_cast<std::byte>(bit_len >> (8 * i));
-    }
-  }
-  for (std::size_t t = 0; t < tail_len; t += 64) {
-    for (std::size_t i = 0; i < 16; ++i) m[i] = detail::load_le32x4(lanes, t + 4 * i);
-    md5_compress(state, m);
-  }
-
-  for (std::size_t l = 0; l < 4; ++l) {
-    out[l] = fold_state({state[0][l], state[1][l], state[2][l], state[3][l]});
-  }
+void md5_x4(const std::byte* const* blocks, std::size_t len, ContentHash* out) noexcept {
+  content_hash_lanes<U32x4>(blocks, len, out);
 }
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void md5_x8(const std::byte* const* blocks, std::size_t len,
+                                    ContentHash* out) noexcept {
+  content_hash_lanes<U32x8>(blocks, len, out);
+}
+
+[[gnu::target("avx512f")]] void md5_x16(const std::byte* const* blocks, std::size_t len,
+                                        ContentHash* out) noexcept {
+  content_hash_lanes<U32x16>(blocks, len, out);
+}
+#endif
+
+}  // namespace detail
 
 }  // namespace concord::hash

@@ -34,12 +34,6 @@ class Md5 {
   /// (big-endian: byte 0 is the top byte of `hi`).
   [[nodiscard]] static ContentHash content_hash(std::span<const std::byte> data) noexcept;
 
-  /// content_hash() of four buffers of `len` bytes each, computed in one
-  /// lockstep pass of the four-lane kernel. out[i] is bit-identical to
-  /// content_hash({blocks[i], len}).
-  static void content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
-                              ContentHash (&out)[4]) noexcept;
-
  private:
   void process_block(const std::byte* block) noexcept;
 
@@ -48,5 +42,21 @@ class Md5 {
   std::array<std::byte, 64> buf_;  // partial block
   std::size_t buf_len_ = 0;
 };
+
+namespace detail {
+
+// Md5::content_hash() of 4, 8 or 16 buffers of `len` bytes each, computed in
+// one lockstep pass with one buffer per 32-bit vector lane: out[i] is
+// bit-identical to Md5::content_hash({blocks[i], len}). The 8- and 16-lane
+// kernels run only where batch_kernels() (block_hasher.hpp) lists their ISA.
+void md5_x4(const std::byte* const* blocks, std::size_t len, ContentHash* out) noexcept;
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void md5_x8(const std::byte* const* blocks, std::size_t len,
+                                    ContentHash* out) noexcept;
+[[gnu::target("avx512f")]] void md5_x16(const std::byte* const* blocks, std::size_t len,
+                                        ContentHash* out) noexcept;
+#endif
+
+}  // namespace detail
 
 }  // namespace concord::hash

@@ -7,47 +7,41 @@ namespace concord::hash {
 
 namespace {
 
-using detail::load_le32;
-using detail::U32x4;
+using detail::kLanesOf;
 
 std::uint32_t load_le16(const std::byte* p) noexcept {
   return std::uint32_t{std::to_integer<std::uint8_t>(p[0])} |
          (std::uint32_t{std::to_integer<std::uint8_t>(p[1])} << 8);
 }
 
-/// One buffer read as std::uint32_t words.
-struct ScalarSource {
-  const std::byte* p;
-  std::uint32_t le32(std::size_t off) const noexcept { return load_le32(p + off); }
-  std::uint32_t le16(std::size_t off) const noexcept { return load_le16(p + off); }
-  std::uint32_t byte(std::size_t off) const noexcept {
-    return std::to_integer<std::uint8_t>(p[off]);
-  }
-};
-
-/// Four equal-length buffers read as U32x4 words, one buffer per lane.
-struct QuadSource {
+/// kLanesOf<W> equal-length buffers, one per lane, read as W words;
+/// W = std::uint32_t reads one buffer.
+template <typename W>
+struct LaneSource {
   const std::byte* const* p;
-  U32x4 le32(std::size_t off) const noexcept { return detail::load_le32x4(p, off); }
-  U32x4 le16(std::size_t off) const noexcept {
-    return U32x4{load_le16(p[0] + off), load_le16(p[1] + off), load_le16(p[2] + off),
-                 load_le16(p[3] + off)};
+  [[gnu::always_inline]] void le32(W& w, std::size_t off) const noexcept {
+    detail::load_le32(w, p, off);
   }
-  U32x4 byte(std::size_t off) const noexcept {
-    return U32x4{ScalarSource{p[0]}.byte(off), ScalarSource{p[1]}.byte(off),
-                 ScalarSource{p[2]}.byte(off), ScalarSource{p[3]}.byte(off)};
+  [[gnu::always_inline]] void le16(W& w, std::size_t off) const noexcept {
+    detail::load_lanes(w, p, [off](const std::byte* q) { return load_le16(q + off); });
+  }
+  [[gnu::always_inline]] void byte(W& w, std::size_t off) const noexcept {
+    detail::load_lanes(w, p, [off](const std::byte* q) {
+      return std::uint32_t{std::to_integer<std::uint8_t>(q[off])};
+    });
   }
 };
 
 /// SuperFastHash over `len` bytes of `src`, advancing every running hash in
 /// `h` (one per seed) with the same data in one sweep. Each h[k] must start
 /// at seed_k ^ len.
-template <typename W, std::size_t N, typename Source>
+template <typename W, std::size_t N>
 [[gnu::always_inline]] inline void superfast_sweep(W (&h)[N], std::size_t len,
-                                                   const Source& src) noexcept {
+                                                   const LaneSource<W>& src) noexcept {
   std::size_t off = 0;
   for (; len - off >= 4; off += 4) {
-    const W w = src.le32(off);
+    W w;
+    src.le32(w, off);
     const W lo = w & 0xffffu;
     const W hi = w >> 16;
     for (W& x : h) {
@@ -60,8 +54,11 @@ template <typename W, std::size_t N, typename Source>
 
   switch (len - off) {
     case 3: {
-      const W w = src.le16(off);
-      const W last = src.byte(off + 2) << 18;
+      W w;
+      src.le16(w, off);
+      W last;
+      src.byte(last, off + 2);
+      last <<= 18;
       for (W& x : h) {
         x += w;
         x ^= x << 16;
@@ -71,7 +68,8 @@ template <typename W, std::size_t N, typename Source>
       break;
     }
     case 2: {
-      const W w = src.le16(off);
+      W w;
+      src.le16(w, off);
       for (W& x : h) {
         x += w;
         x ^= x << 11;
@@ -80,7 +78,8 @@ template <typename W, std::size_t N, typename Source>
       break;
     }
     case 1: {
-      const W w = src.byte(off);
+      W w;
+      src.byte(w, off);
       for (W& x : h) {
         x += w;
         x ^= x << 10;
@@ -115,27 +114,53 @@ ContentHash fold_seeds(std::uint32_t a, std::uint32_t b, std::size_t len) noexce
   return ContentHash{hi, splitmix64(mix)};
 }
 
+/// superfast_content_hash() of kLanesOf<W> buffers of `len` bytes each: the
+/// blocks times the two seeds ride one lockstep sweep.
+template <typename W>
+[[gnu::always_inline]] inline void content_hash_lanes(const std::byte* const* blocks,
+                                                      std::size_t len,
+                                                      ContentHash* out) noexcept {
+  const auto len32 = static_cast<std::uint32_t>(len);
+  W h[2] = {W{} + (kSeeds[0] ^ len32), W{} + (kSeeds[1] ^ len32)};
+  superfast_sweep(h, len, LaneSource<W>{blocks});
+  for (std::size_t l = 0; l < kLanesOf<W>; ++l) out[l] = fold_seeds(h[0][l], h[1][l], len);
+}
+
 }  // namespace
 
 std::uint32_t superfast32(std::span<const std::byte> data, std::uint32_t seed) noexcept {
+  const std::byte* const p[1] = {data.data()};
   std::uint32_t h[1] = {seed ^ static_cast<std::uint32_t>(data.size())};
-  superfast_sweep(h, data.size(), ScalarSource{data.data()});
+  superfast_sweep(h, data.size(), LaneSource<std::uint32_t>{p});
   return h[0];
 }
 
 ContentHash superfast_content_hash(std::span<const std::byte> data) noexcept {
+  const std::byte* const p[1] = {data.data()};
   const auto len32 = static_cast<std::uint32_t>(data.size());
   std::uint32_t h[2] = {kSeeds[0] ^ len32, kSeeds[1] ^ len32};
-  superfast_sweep(h, data.size(), ScalarSource{data.data()});
+  superfast_sweep(h, data.size(), LaneSource<std::uint32_t>{p});
   return fold_seeds(h[0], h[1], data.size());
 }
 
-void superfast_content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
-                               ContentHash (&out)[4]) noexcept {
-  const auto len32 = static_cast<std::uint32_t>(len);
-  U32x4 h[2] = {U32x4{} + (kSeeds[0] ^ len32), U32x4{} + (kSeeds[1] ^ len32)};
-  superfast_sweep(h, len, QuadSource{blocks});
-  for (std::size_t l = 0; l < 4; ++l) out[l] = fold_seeds(h[0][l], h[1][l], len);
+namespace detail {
+
+void superfast_x4(const std::byte* const* blocks, std::size_t len, ContentHash* out) noexcept {
+  content_hash_lanes<U32x4>(blocks, len, out);
 }
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void superfast_x8(const std::byte* const* blocks, std::size_t len,
+                                          ContentHash* out) noexcept {
+  content_hash_lanes<U32x8>(blocks, len, out);
+}
+
+[[gnu::target("avx512f")]] void superfast_x16(const std::byte* const* blocks, std::size_t len,
+                                              ContentHash* out) noexcept {
+  content_hash_lanes<U32x16>(blocks, len, out);
+}
+#endif
+
+}  // namespace detail
 
 }  // namespace concord::hash

@@ -23,11 +23,22 @@ namespace concord::hash {
 /// bits; see the .cpp for the trade-off discussion).
 [[nodiscard]] ContentHash superfast_content_hash(std::span<const std::byte> data) noexcept;
 
-/// superfast_content_hash() of four buffers of `len` bytes each: four
-/// blocks times two seeds run as eight lanes in one lockstep sweep. out[i]
-/// is bit-identical to superfast_content_hash({blocks[i], len}).
-void superfast_content_hash_x4(const std::byte* const (&blocks)[4], std::size_t len,
-                               ContentHash (&out)[4]) noexcept;
+namespace detail {
+
+// superfast_content_hash() of 4, 8 or 16 buffers of `len` bytes each: the
+// blocks times the two seeds run as 8, 16 or 32 lanes in one lockstep sweep.
+// out[i] is bit-identical to superfast_content_hash({blocks[i], len}). The 8-
+// and 16-lane kernels run only where batch_kernels() (block_hasher.hpp) lists
+// their ISA.
+void superfast_x4(const std::byte* const* blocks, std::size_t len, ContentHash* out) noexcept;
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void superfast_x8(const std::byte* const* blocks, std::size_t len,
+                                          ContentHash* out) noexcept;
+[[gnu::target("avx512f")]] void superfast_x16(const std::byte* const* blocks, std::size_t len,
+                                              ContentHash* out) noexcept;
+#endif
+
+}  // namespace detail
 
 /// FNV-1a 64-bit — used for cheap non-content hashing (shard placement of
 /// strings, test oracles), not for content names.

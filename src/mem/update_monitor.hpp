@@ -85,8 +85,8 @@ class MemoryUpdateMonitor {
 
   /// Host threads hashing candidate blocks inside scan(): 1 = serial
   /// (default), 0 = one per hardware core (capped at 8). An unthrottled scan
-  /// hashes all its candidates up front with BlockHasher::hash_many (four
-  /// blocks per pass), one call per worker chunk. Parallel hashing is a pure
+  /// hashes all its candidates up front with BlockHasher::hash_many (4, 8
+  /// or 16 blocks per lockstep pass), one call per worker chunk. Parallel hashing is a pure
   /// real-time optimization: updates are still emitted in block-index order
   /// and every counter is charged in the same deterministic sequential pass,
   /// so no snapshot byte depends on this setting. Throttled scans

@@ -1,10 +1,11 @@
 // Unit tests for src/hash: MD5 against the RFC 1321 vectors, SuperFastHash
-// behaviour, and the BlockHasher facade, including hash_many() against the
-// single-block path.
+// behaviour, and the BlockHasher facade, including hash_many() and every
+// vector tier of batch_kernels() against the single-block path.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -233,9 +234,9 @@ TEST(HashMany, EveryBatchSizeUpToNine) {
 
 TEST(HashMany, MixedLengthBatch) {
   // Groups of four with unequal lengths (the odd one out in lane 3, 1 and
-  // 2) fall back to the single-block path; the
+  // 2) split into shorter runs, which take the single-block path; the
   // equal-length group still takes the four-lane kernel.
-  const std::vector<std::byte> pool = random_bytes(16 * 4096, 23);
+  const std::vector<std::byte> pool = random_bytes(17 * 4096, 23);
   const std::size_t lengths[] = {4096, 4096, 4096, 100, 64, 64, 64, 64, 56,
                                  55,   56,   56,   7,   7,  9,  7,  3};
   for (const Algorithm algo : kAlgorithms) {
@@ -307,6 +308,162 @@ TEST(HashMany, Rfc1321VectorsInEveryLane) {
       std::vector<ContentHash> out(4);
       md5.hash_many(blocks, out);
       EXPECT_EQ(out[lane].to_string(), want) << "input \"" << s << "\" lane " << lane;
+    }
+  }
+}
+
+
+// ------------------------------------------------------------ batch_kernels
+
+/// Tier `t`'s kernel over t.lanes buffers of `len` bytes at `bases` must
+/// equal the single-block path on each; returns the kernel's digests.
+std::vector<ContentHash> expect_tier_matches_single(const BatchKernel& t, Algorithm algo,
+                                                    const std::vector<const std::byte*>& bases,
+                                                    std::size_t len, const std::string& what) {
+  EXPECT_EQ(bases.size(), t.lanes);
+  std::vector<ContentHash> out(t.lanes);
+  (algo == Algorithm::kMd5 ? t.md5 : t.superfast)(bases.data(), len, out.data());
+  const BlockHasher h(algo);
+  for (std::size_t l = 0; l < t.lanes; ++l) {
+    EXPECT_EQ(out[l], h({bases[l], len}))
+        << t.isa << " " << to_string(algo) << " " << what << " lane " << l;
+  }
+  return out;
+}
+
+TEST(BatchKernels, BaselineFirstThenEveryTierTheCpuSupports) {
+  const std::span<const BatchKernel> tiers = batch_kernels();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers[0].isa, "baseline");
+  EXPECT_EQ(tiers[0].lanes, 4u);
+  std::vector<std::string_view> want = {"baseline"};
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) want.push_back("avx2");
+  if (__builtin_cpu_supports("avx512f")) want.push_back("avx512f");
+#endif
+  std::vector<std::string_view> got;
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    got.push_back(tiers[i].isa);
+    EXPECT_NE(tiers[i].md5, nullptr);
+    EXPECT_NE(tiers[i].superfast, nullptr);
+    EXPECT_LE(tiers[i].lanes, 16u);
+    if (i > 0) {
+      EXPECT_EQ(tiers[i].lanes, 2 * tiers[i - 1].lanes) << tiers[i].isa;
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batch_kernels().data(), tiers.data()) << "resolved once";
+}
+
+TEST(BatchKernels, EveryLengthMatchesSingleBlockInEveryTier) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(4096);
+  const std::vector<std::byte> pool = random_bytes(16 * 4096, 31);
+  for (const BatchKernel& t : batch_kernels()) {
+    std::vector<const std::byte*> bases;
+    for (std::size_t l = 0; l < t.lanes; ++l) bases.push_back(pool.data() + l * 4096);
+    for (const Algorithm algo : kAlgorithms) {
+      for (const std::size_t len : lengths) {
+        expect_tier_matches_single(t, algo, bases, len, "len " + std::to_string(len));
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, UnalignedBasesInEveryTier) {
+  const std::vector<std::byte> pool = random_bytes(16 * 4097 + 16, 32);
+  for (const BatchKernel& t : batch_kernels()) {
+    for (const std::size_t shift : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      std::vector<const std::byte*> bases;
+      for (std::size_t l = 0; l < t.lanes; ++l) bases.push_back(pool.data() + shift + l * 4097);
+      for (const Algorithm algo : kAlgorithms) {
+        expect_tier_matches_single(t, algo, bases, 4093, "shift " + std::to_string(shift));
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, DistinctAndIdenticalLanesInEveryTier) {
+  // Every lane differs from lane 0 in one byte except the last, which is a
+  // separate copy of lane 0's content.
+  for (const BatchKernel& t : batch_kernels()) {
+    std::vector<std::vector<std::byte>> pages(t.lanes, std::vector<std::byte>(4096, std::byte{9}));
+    for (std::size_t l = 1; l + 1 < t.lanes; ++l) pages[l][(l * 997) % 4096] = std::byte{1};
+    std::vector<const std::byte*> bases;
+    for (const auto& p : pages) bases.push_back(p.data());
+    for (const Algorithm algo : kAlgorithms) {
+      const std::vector<ContentHash> out =
+          expect_tier_matches_single(t, algo, bases, 4096, "distinct");
+      const std::unordered_set<ContentHash> distinct(out.begin(), out.end());
+      EXPECT_EQ(distinct.size(), t.lanes - 1) << t.isa << " " << to_string(algo);
+      EXPECT_EQ(out.front(), out.back()) << t.isa << " " << to_string(algo);
+    }
+  }
+}
+
+TEST(BatchKernels, Rfc1321VectorsInEveryLaneOfEveryTier) {
+  const Rfc1321Case cases[] = {
+      {"", "d41d8cd98f00b204e9800998ecf8427e"},
+      {"a", "0cc175b9c0f1b6a831c399e269772661"},
+      {"abc", "900150983cd24fb0d6963f7d28e17f72"},
+      {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+      {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
+      {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+       "d174ab98d277d9f5a5611c2c9f419d9f"},
+      {"1234567890123456789012345678901234567890123456789012345678901234567890123456"
+       "7890",
+       "57edf4a22be3c955ac49da2e2107b67a"}};
+  const std::vector<std::byte> filler = random_bytes(16 * 128, 33);
+  for (const BatchKernel& t : batch_kernels()) {
+    for (const auto& [input, want] : cases) {
+      const std::string s(input);
+      for (std::size_t lane = 0; lane < t.lanes; ++lane) {
+        std::vector<const std::byte*> bases;
+        for (std::size_t l = 0; l < t.lanes; ++l) {
+          bases.push_back(l == lane ? bytes(s).data() : filler.data() + 128 * l);
+        }
+        std::vector<ContentHash> out(t.lanes);
+        t.md5(bases.data(), s.size(), out.data());
+        EXPECT_EQ(out[lane].to_string(), want)
+            << t.isa << " input \"" << s << "\" lane " << lane;
+      }
+    }
+  }
+}
+
+TEST(HashMany, EveryBatchSizeUpToTwiceTheWidestTierPlusFive) {
+  const std::size_t max_n = 2 * batch_kernels().back().lanes + 5;
+  const std::vector<std::byte> pool = random_bytes(max_n * 4096, 34);
+  for (const Algorithm algo : kAlgorithms) {
+    const BlockHasher h(algo);
+    for (std::size_t n = 0; n <= max_n; ++n) {
+      std::vector<std::span<const std::byte>> blocks;
+      for (std::size_t i = 0; i < n; ++i) blocks.emplace_back(pool.data() + i * 4096, 4096);
+      expect_many_matches_single(h, blocks, "batch " + std::to_string(n));
+    }
+  }
+}
+
+TEST(HashMany, OddBlockAtEveryLaneOfEveryTier) {
+  // One group of `lanes` equal-length blocks per tier, with the block at
+  // each position in turn given another length (shorter, longer, and the
+  // empty block), followed by a full group: hash_many must split around
+  // the odd one and still match the single-block path everywhere.
+  const std::vector<std::byte> pool = random_bytes(32 * 4096, 35);
+  for (const BatchKernel& t : batch_kernels()) {
+    for (const std::size_t odd_len : {std::size_t{0}, std::size_t{100}, std::size_t{4095}}) {
+      for (std::size_t odd = 0; odd < t.lanes; ++odd) {
+        std::vector<std::span<const std::byte>> blocks;
+        for (std::size_t i = 0; i < 2 * t.lanes; ++i) {
+          blocks.emplace_back(pool.data() + i * 4096, i == odd ? odd_len : 1000);
+        }
+        for (const Algorithm algo : kAlgorithms) {
+          expect_many_matches_single(BlockHasher(algo), blocks,
+                                     std::string(t.isa) + " odd lane " + std::to_string(odd) +
+                                         " len " + std::to_string(odd_len));
+        }
+      }
     }
   }
 }
