@@ -63,12 +63,15 @@ std::unique_ptr<core::Cluster> make_cluster(std::uint64_t seed, bool smoke) {
   return std::make_unique<core::Cluster>(p);
 }
 
+/// Fills one entity per node with content drawn from the run's seed, so each
+/// seed of a sweep (and its fault-free twin) sees different memory.
 std::vector<EntityId> populate(core::Cluster& c) {
   std::vector<EntityId> ses;
   for (std::uint32_t n = 0; n < kNodes; ++n) {
     mem::MemoryEntity& e =
         c.create_entity(node_id(n), EntityKind::kProcess, kBlocksPerEntity, kBlockSize);
-    workload::fill(e, workload::defaults_for(workload::Kind::kMoldy, n + 1));
+    workload::fill(e, workload::defaults_for(workload::Kind::kMoldy,
+                                             c.params().seed * kNodes + n + 1));
     ses.push_back(e.id());
   }
   (void)c.scan_all();
@@ -389,5 +392,7 @@ int main(int argc, char** argv) {
   }
   if (smoke && total_watchdog_viol > 0) return 1;
   if (smoke && r3_degraded > 0) return 1;  // PR 8 gate: full availability at R = 3
-  return min_coverage >= 99.0 ? 0 : 1;
+  // The acceptance above: coverage back within 3 audit passes (a seed that
+  // never converges leaves the pass loop at 4).
+  return min_coverage >= 99.0 && max_passes <= 3 ? 0 : 1;
 }

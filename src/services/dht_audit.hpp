@@ -1,5 +1,6 @@
 // DhtAudit: reconcile the best-effort distributed database with ground
-// truth.
+// truth; the explicit-audit trigger and convergence oracle of DHT
+// reconciliation (DESIGN.md §16 "DHT reconciliation").
 //
 // ConCORD's DHT drifts from reality: update datagrams are lost, entities
 // mutate between scans, departures may not scrub every entry. The paper's

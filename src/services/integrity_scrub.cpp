@@ -2,89 +2,52 @@
 // hash-map iteration order.
 #include "services/integrity_scrub.hpp"
 
-#include <bit>
-#include <set>
 #include <utility>
 
 #include "core/cost_model.hpp"
-#include "core/service_daemon.hpp"
+#include "services/reconcile.hpp"
 
 namespace concord::services {
 
-obs::Counter* IntegrityScrub::lazy(obs::Counter*& slot, const char* name) {
-  // concord-proto: cell counter dht/entries_quarantined dht/entries_repaired
-  if (slot == nullptr) slot = &cluster_.metrics().counter("dht", name);
-  return slot;
-}
-
 bool IntegrityScrub::verify_entry(const ContentHash& h, EntityId e) const {
-  if (!cluster_.registry().alive(e)) return false;
-  const NodeId host = cluster_.registry().host_of(e);
-  core::ServiceDaemon& hd = cluster_.daemon(host);
-  const auto* locs = hd.block_map().find(h);
-  if (locs == nullptr) return false;
-  const hash::BlockHasher& hasher = hd.monitor().hasher();
-  const mem::MemoryEntity& ent = cluster_.entity(e);
-  for (const mem::BlockLocation& loc : *locs) {
-    if (loc.entity != e) continue;
-    if (hasher(ent.block(loc.block)) == h) return true;
-  }
-  return false;
+  return holds(cluster_, h, e, /*rehash=*/true);
 }
 
 void IntegrityScrub::quarantine(NodeId member, const ContentHash& h, EntityId e) {
   cluster_.daemon(member).store().remove(h, e);
-  lazy(quarantined_cell_, "entries_quarantined")->inc();
+  // The integrity cells are created on first quarantine, so corruption-free
+  // runs keep their metric snapshots byte-identical to builds without the
+  // scrub.
+  cluster_.metrics().counter("dht", "entries_quarantined").inc();
   cluster_.blackbox().record(raw(member), cluster_.sim().now(), obs::FrEvent::kEntryQuarantined,
                              static_cast<std::uint16_t>(raw(e)),
                              raw(cluster_.registry().host_of(e)), h.lo);
-  pending_.push_back({h, e, member, cluster_.placement().home(h)});
+  pending_.push_back({h, e, member});
 }
 
 ScrubReport IntegrityScrub::scrub() {
-  ScrubReport rep;
-  rep.rounds = 1;
+  ScrubReport rep{.rounds = 1};
   sim::Simulation& simu = cluster_.sim();
   const core::CostModel& cm = core::CostModel::instance();
-  const dht::Placement& pl = cluster_.placement();
-  const bool replicated = pl.replication() > 1;
-  const hash::Algorithm algo = cluster_.params().hash_algorithm;
   const sim::Time t0 = simu.now();
 
   for (std::uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
     if (cluster_.fault().is_down(node_id(n))) continue;  // down shards keep their drift
-    core::ServiceDaemon& member = cluster_.daemon(node_id(n));
     std::vector<std::pair<ContentHash, EntityId>> bad;
     sim::Time scan = 0;
-
-    member.store().for_each_entry([&](const ContentHash& h, const std::uint64_t* words,
-                                      std::size_t nwords) {
-      // Misplaced entries (placement no longer maps the hash here) are the
-      // audit's territory; the scrub only judges entries this member
-      // legitimately serves.
-      const bool here = replicated ? pl.is_replica(pl.home(h), node_id(n))
-                                   : pl.owner(h) == node_id(n);
-      if (!here) return;
-      for (std::size_t w = 0; w < nwords; ++w) {
-        std::uint64_t bits = words[w];
-        while (bits != 0) {
-          const auto idx = static_cast<std::uint32_t>(
-              w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-          const auto e = entity_id(idx);
-          if (!cluster_.registry().alive(e)) continue;  // stale, not corrupt
-          if (cluster_.fault().is_down(cluster_.registry().host_of(e))) continue;
-          ++rep.entries_checked;
-          scan += cm.hash_cost(algo, cluster_.entity(e).block_size());
-          if (!verify_entry(h, e)) bad.emplace_back(h, e);
-        }
-      }
+    for_each_pair(cluster_.daemon(node_id(n)), [&](const ContentHash& h, EntityId e,
+                                                   bool served) {
+      // Misplaced entries are the audit's territory; the scrub only judges
+      // entries this member legitimately serves. Dead entities are stale,
+      // not corrupt, and a down host cannot vouch for anything.
+      if (!served || !cluster_.registry().alive(e)) return;
+      if (cluster_.fault().is_down(cluster_.registry().host_of(e))) return;
+      ++rep.entries_checked;
+      scan += cm.hash_cost(cluster_.params().hash_algorithm, cluster_.entity(e).block_size());
+      if (!verify_entry(h, e)) bad.emplace_back(h, e);
     });
-
-    for (const auto& [h, e] : bad) {
-      quarantine(node_id(n), h, e);
-      ++rep.quarantined;
-    }
+    for (const auto& [h, e] : bad) quarantine(node_id(n), h, e);
+    rep.quarantined += bad.size();
     simu.run_until(simu.now() + scan);
   }
 
@@ -94,51 +57,16 @@ ScrubReport IntegrityScrub::scrub() {
 
 void IntegrityScrub::heal() {
   if (pending_.empty()) return;
-  const dht::Placement& pl = cluster_.placement();
-  if (pl.replication() > 1) {
-    // Donor path: flag each quarantined member's home shard dirty and let
-    // ReplicaResync stream it back from the best surviving replica.
-    const std::uint64_t epoch = cluster_.membership().epoch;
-    for (const Quarantined& q : pending_) {
-      cluster_.daemon(q.member).mark_shard_dirty(q.home, epoch);
-    }
-    resync_.resync();
-    return;
-  }
-
-  // R == 1: no donor exists. Re-publish the affected home shards from the
-  // hosts' local block maps, through the normal update interface — the same
-  // ground-truth republish ShardRecovery uses after a crash.
-  std::set<std::uint32_t> homes;  // ordered: republish traffic is deterministic
-  for (const Quarantined& q : pending_) homes.insert(q.home);
-  for (std::uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
-    if (cluster_.fault().is_down(node_id(n))) continue;
-    const core::ServiceDaemon& host = cluster_.daemon(node_id(n));
-    host.block_map().for_each([&](const ContentHash& h,
-                                  const std::vector<mem::BlockLocation>& locs) {
-      if (!homes.contains(pl.home(h))) return;
-      const NodeId owner = pl.owner(h);
-      std::set<std::uint32_t> entities_here;  // ordered: one insert per entity
-      for (const mem::BlockLocation& loc : locs) entities_here.insert(raw(loc.entity));
-      for (const std::uint32_t e : entities_here) {
-        if (!cluster_.registry().alive(entity_id(e))) continue;
-        cluster_.fabric().send_unreliable(net::make_message(
-            node_id(n), owner, net::MsgType::kDhtInsert,
-            core::DhtUpdateMsg{h, entity_id(e), true}, core::kDhtUpdateBytes));
-      }
-    });
-  }
-  cluster_.sim().run();  // deliver (or lose) the republish datagrams
-}
-
-void IntegrityScrub::credit_repairs() {
+  // Each quarantined member's home shard goes dirty, so its donor is some
+  // other group member; a home without one is rebuilt from ground truth.
   for (const Quarantined& q : pending_) {
-    lazy(repaired_cell_, "entries_repaired")->inc();
-    cluster_.blackbox().record(raw(q.member), cluster_.sim().now(),
-                               obs::FrEvent::kEntryRepaired,
-                               static_cast<std::uint16_t>(raw(q.entity)), q.home, q.hash.lo);
+    const std::uint32_t home = cluster_.placement().home(q.hash);
+    cluster_.daemon(q.member).mark_shard_dirty(home, cluster_.membership().epoch);
   }
-  pending_.clear();
+  ResyncReport streams;
+  const std::vector<bool> orphaned = sync_dirty_shards(cluster_, streams);
+  // Rebuilds the orphans, then delivers (or loses) all of the repair traffic.
+  (void)republish(cluster_, [&](std::uint32_t home) { return orphaned[home]; });
 }
 
 ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
@@ -158,7 +86,14 @@ ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
       // corrupt: the heal held, so the whole pending quarantine list is
       // certified repaired.
       total.repaired += pending_.size();
-      credit_repairs();
+      for (const Quarantined& q : pending_) {
+        cluster_.metrics().counter("dht", "entries_repaired").inc();
+        cluster_.blackbox().record(raw(q.member), cluster_.sim().now(),
+                                   obs::FrEvent::kEntryRepaired,
+                                   static_cast<std::uint16_t>(raw(q.entity)),
+                                   cluster_.placement().home(q.hash), q.hash.lo);
+      }
+      pending_.clear();
       break;
     }
   }

@@ -1,5 +1,6 @@
 // IntegrityScrub: re-hash verification and quarantine-and-repair for the
-// content-tracing DHT.
+// content-tracing DHT; the explicit-scrub trigger of DHT reconciliation
+// (DESIGN.md §16 "DHT reconciliation").
 //
 // The audit (dht_audit.hpp) trusts the host's block map: an entry is clean
 // if ground truth *says* the entity holds the content. Corruption breaks
@@ -12,24 +13,18 @@
 // Entries that fail re-hash are *quarantined*: removed from the shard,
 // counted on the dht/entries_quarantined gauge, and stamped into the
 // member's flight-recorder ring. Quarantine alone leaves a coverage hole,
-// so scrub_and_heal() repairs it the way the paper repairs every DHT gap —
-// from ground truth:
-//   * R >= 2: the donor path. Each quarantined member's home shard is
-//     marked dirty and ReplicaResync streams it back from the group's best
-//     surviving replica (DESIGN.md §14).
-//   * R == 1: no surviving replica exists; the affected home shards are
-//     re-published from the hosts' local block maps, exactly like
-//     post-crash ShardRecovery.
-// A following verify pass that quarantines nothing certifies the heal;
-// every pending quarantined entry is then credited to
-// dht/entries_repaired, so a converged scrub always ends with
+// so scrub_and_heal() repairs it the way every DHT gap is repaired: each
+// quarantined member's home shard goes dirty and is streamed back from the
+// group's donor, or, where no donor exists (always at R = 1), re-published
+// from the hosts' block maps. A following verify pass that quarantines
+// nothing certifies the heal; every pending quarantined entry is then
+// credited to dht/entries_repaired, so a converged scrub always ends with
 // entries_repaired == entries_quarantined.
 #pragma once
 
 #include <vector>
 
 #include "core/cluster.hpp"
-#include "services/replica_resync.hpp"
 
 namespace concord::services {
 
@@ -45,8 +40,7 @@ struct ScrubReport {
 
 class IntegrityScrub {
  public:
-  explicit IntegrityScrub(core::Cluster& cluster)
-      : cluster_(cluster), resync_(cluster, /*auto_resync=*/false) {}
+  explicit IntegrityScrub(core::Cluster& cluster) : cluster_(cluster) {}
 
   IntegrityScrub(const IntegrityScrub&) = delete;
   IntegrityScrub& operator=(const IntegrityScrub&) = delete;
@@ -58,8 +52,8 @@ class IntegrityScrub {
   ScrubReport scrub();
 
   /// Verify/heal rounds until a pass quarantines nothing (or `max_rounds`
-  /// is hit): scrub, heal the quarantine list through resync (R >= 2) or
-  /// block-map republish (R == 1), re-verify. The terminating clean pass
+  /// is hit): scrub, heal the quarantine list through a donor stream or a
+  /// block-map republish, re-verify. The terminating clean pass
   /// credits every pending quarantined entry as repaired.
   ScrubReport scrub_and_heal(int max_rounds = 4);
 
@@ -75,10 +69,10 @@ class IntegrityScrub {
   void quarantine(NodeId member, const ContentHash& h, EntityId e);
 
   [[nodiscard]] std::uint64_t total_quarantined() const noexcept {
-    return quarantined_cell_ != nullptr ? quarantined_cell_->value() : 0;
+    return cluster_.metrics().counter_total("dht", "entries_quarantined");
   }
   [[nodiscard]] std::uint64_t total_repaired() const noexcept {
-    return repaired_cell_ != nullptr ? repaired_cell_->value() : 0;
+    return cluster_.metrics().counter_total("dht", "entries_repaired");
   }
   /// Quarantined entries not yet certified healed by a clean verify pass.
   [[nodiscard]] std::size_t pending_repairs() const noexcept { return pending_.size(); }
@@ -88,21 +82,12 @@ class IntegrityScrub {
     ContentHash hash;
     EntityId entity{};
     NodeId member{};
-    std::uint32_t home = 0;
   };
 
-  obs::Counter* lazy(obs::Counter*& slot, const char* name);
   void heal();
-  void credit_repairs();
 
   core::Cluster& cluster_;
-  ReplicaResync resync_;  // donor path for R >= 2 heals (manual trigger)
   std::vector<Quarantined> pending_;
-  // Lazy gauges (dht/entries_quarantined, dht/entries_repaired): created on
-  // first quarantine, so corruption-free runs keep their metric snapshots
-  // byte-identical to builds without the scrub.
-  obs::Counter* quarantined_cell_ = nullptr;
-  obs::Counter* repaired_cell_ = nullptr;
 };
 
 }  // namespace concord::services

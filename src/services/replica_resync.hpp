@@ -1,4 +1,5 @@
-// ReplicaResync: bounded re-sync of dirty replica shards (DESIGN.md §14).
+// ReplicaResync: the replica-stream trigger of DHT reconciliation (DESIGN.md
+// §16 "DHT reconciliation").
 //
 // In a replicated DHT (dht_replication > 1) a crash no longer makes a shard's
 // content unreachable — the surviving group members still serve it — but the
@@ -7,9 +8,9 @@
 // to repair such a member from a surviving replica, not from every host's
 // ground truth: the donor with the highest applied membership epoch streams
 // the dirty home shard's records over the reliable class, and the target
-// flips the shard clean when the stream's last chunk lands. Full
-// ShardRecovery republish — every alive host re-walking its NSM block map —
-// remains only as the fallback when a group lost all of its in-sync members.
+// flips the shard clean when the stream's last chunk lands. ShardRecovery's
+// republish remains only as the fallback when a group lost all of its
+// in-sync members.
 //
 // Like ShardRecovery, the service registers as an epoch listener and runs
 // after every detection window that changes the view (after the cluster's
@@ -17,8 +18,6 @@
 // epoch). The whole service is a no-op at R = 1: it sends nothing, creates
 // no metric cells, and leaves every snapshot byte-identical.
 #pragma once
-
-#include <vector>
 
 #include "core/cluster.hpp"
 
@@ -48,21 +47,15 @@ class ReplicaResync {
   ResyncReport resync();
 
   [[nodiscard]] const ResyncReport& last_report() const noexcept { return last_; }
+  /// Site-wide dht/resync_records: every shard stream's records, whichever
+  /// service triggered it.
   [[nodiscard]] std::uint64_t total_records_streamed() const noexcept {
-    return records_ != nullptr ? records_->value() : 0;
+    return cluster_.metrics().counter_total("dht", "resync_records");
   }
 
  private:
-  obs::Counter* lazy(obs::Counter*& slot, const char* name);
-
   core::Cluster& cluster_;
   ResyncReport last_;
-  // Lazy cells (dht/resync_runs, resync_shards, resync_records): created on
-  // first use, so an R = 1 cluster that merely constructs the service keeps
-  // its metric snapshots byte-identical to one without it.
-  obs::Counter* runs_ = nullptr;
-  obs::Counter* shards_ = nullptr;
-  obs::Counter* records_ = nullptr;
 };
 
 }  // namespace concord::services

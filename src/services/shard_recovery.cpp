@@ -1,112 +1,53 @@
 #include "services/shard_recovery.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "core/service_daemon.hpp"
+#include "services/reconcile.hpp"
 
 namespace concord::services {
 
 ShardRecovery::ShardRecovery(core::Cluster& cluster, bool auto_recover)
-    : cluster_(cluster), prev_alive_(cluster.num_nodes(), true) {
+    : cluster_(cluster), prev_alive_(cluster.placement().alive()) {
   runs_ = &cluster_.metrics().counter("dht", "recovery_runs");
   republished_ = &cluster_.metrics().counter("dht", "recovery_republished");
   if (auto_recover) {
-    // Registered after the cluster's own placement listener, so by the time
-    // this fires owner() already answers under the new view.
-    cluster_.detector().on_epoch_change(
-        [this](const core::MembershipView&) { last_ = recover(); });
+    // Registered after the cluster's own placement and dirty-marking
+    // listeners, so by the time this fires owner() already answers under
+    // the new view and every newcomer to a group is dirty.
+    cluster_.detector().on_epoch_change([this](const auto&) { last_ = recover(); });
   }
 }
 
 RecoveryReport ShardRecovery::recover() {
-  RecoveryReport rep;
-  const core::MembershipView& view = cluster_.membership();
-  rep.epoch = view.epoch;
+  RecoveryReport rep{.epoch = cluster_.membership().epoch};
   const sim::Time t0 = cluster_.sim().now();
   runs_->inc();
 
-  const dht::Placement& placement = cluster_.placement();
-  const bool replicated = placement.replication() > 1;
-  // R > 1: the per-home decision — skip (group unchanged), skip (an alive
-  // in-sync replica survives; ReplicaResync streams the shard), or
-  // republish (the group lost every in-sync member) — is the same for every
-  // hash of a home, so it is computed once and cached.
-  enum class HomeVerdict : std::uint8_t { kUnknown, kUnchanged, kHasDonor, kRepublish };
-  std::vector<HomeVerdict> verdicts(
-      replicated ? placement.num_nodes() : 0, HomeVerdict::kUnknown);
-  auto verdict_for = [&](std::uint32_t home) {
-    HomeVerdict& v = verdicts[home];
-    if (v != HomeVerdict::kUnknown) return v;
-    const std::vector<NodeId> prev = placement.shard_replicas_in(prev_alive_, home);
-    const std::vector<NodeId> cur = placement.shard_replicas(home);
-    if (prev == cur) return v = HomeVerdict::kUnchanged;
-    for (const NodeId n : cur) {
-      if (std::find(prev.begin(), prev.end(), n) == prev.end()) continue;
-      if (!view.is_alive(n)) continue;
-      if (cluster_.daemon(n).shard_insync(home)) return v = HomeVerdict::kHasDonor;
-    }
-    return v = HomeVerdict::kRepublish;
-  };
-  std::unordered_set<std::uint32_t> republished_homes;
-
-  for (std::uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
-    if (!view.is_alive(node_id(n))) continue;  // the dead publish nothing
-    core::ServiceDaemon& d = cluster_.daemon(node_id(n));
-    d.block_map().for_each([&](const ContentHash& h,
-                               const std::vector<mem::BlockLocation>& locs) {
-      ++rep.hashes_checked;
-      if (replicated) {
-        const std::uint32_t home = placement.home(h);
-        switch (verdict_for(home)) {
-          case HomeVerdict::kUnchanged:
-            return;  // the group still matches; nothing moved
-          case HomeVerdict::kHasDonor:
-            // A surviving in-sync replica covers this shard: the cheap
-            // ReplicaResync stream repairs it, full republish would only
-            // race it with duplicate traffic.
-            ++rep.skipped_replicated;
-            if (skipped_replicated_ == nullptr) {
-              skipped_replicated_ =
-                  &cluster_.metrics().counter("dht", "recovery_skipped_replicated");
-            }
-            skipped_replicated_->inc();
-            return;
-          default:
-            republished_homes.insert(home);
-            break;  // fall through to republish from ground truth
-        }
-      } else {
-        // Only hashes whose ownership moved between the views need
-        // re-publishing; everything else is already where queries will look.
-        if (placement.owner_in(prev_alive_, h) == placement.owner(h)) return;
-      }
-      std::unordered_set<std::uint32_t> seen;
-      for (const mem::BlockLocation& loc : locs) {
-        if (!cluster_.registry().alive(loc.entity)) continue;
-        if (!seen.insert(raw(loc.entity)).second) continue;
-        d.publish_update(h, loc.entity, /*insert=*/true);
-        ++rep.republished;
-        republished_->inc();
-      }
-    });
-    d.flush_updates();
+  // Per home: skip it (its group is unchanged, or a donor that served it
+  // before the change survives and ReplicaResync streams it), or republish
+  // it from ground truth. The donor must predate the change: newcomers are
+  // dirty at R > 1, and at R = 1, where nothing is ever dirty, the lone
+  // member of a changed group is exactly the node that holds nothing.
+  const dht::Placement& pl = cluster_.placement();
+  std::vector<bool> deferred(pl.num_nodes(), false), rebuilt(pl.num_nodes(), false);
+  for (std::uint32_t home = 0; home < pl.num_nodes(); ++home) {
+    const std::vector<NodeId> prev = pl.shard_replicas_in(prev_alive_, home);
+    if (prev == pl.shard_replicas(home)) continue;
+    const core::ServiceDaemon* d = donor_for(cluster_, home);
+    const bool survived = d != nullptr && std::ranges::find(prev, d->id()) != prev.end();
+    (survived ? deferred : rebuilt)[home] = true;
   }
 
-  prev_alive_.assign(cluster_.num_nodes(), true);
-  for (std::uint32_t i = 0; i < cluster_.num_nodes() && i < view.alive.size(); ++i) {
-    prev_alive_[i] = view.alive[i];
-  }
-  cluster_.sim().run();  // deliver (or lose) the republish batches
-  // A fallback-republished home has been rebuilt from NSM ground truth at
-  // every alive group member: nothing cheaper will arrive, so the members
-  // flip clean here (best-effort, like the republish itself — a later audit
-  // pass remains the convergence oracle).
-  for (const std::uint32_t home : republished_homes) {
-    for (const NodeId member : placement.shard_replicas(home)) {
-      if (!view.is_alive(member)) continue;
-      cluster_.daemon(member).mark_shard_clean(home, view.epoch);
-    }
+  prev_alive_ = pl.alive();
+  rep.republished = republish(cluster_, [&](std::uint32_t home) {
+    ++rep.hashes_checked;
+    if (deferred[home]) ++rep.skipped_replicated;
+    return rebuilt[home];
+  });
+  republished_->inc(rep.republished);
+  if (const std::uint64_t skipped = rep.skipped_replicated; skipped > 0) {
+    // Lazy: R = 1 snapshots keep their exact pre-replication cell set.
+    cluster_.metrics().counter("dht", "recovery_skipped_replicated").inc(skipped);
   }
   rep.latency = cluster_.sim().now() - t0;
   return rep;

@@ -1,22 +1,21 @@
-// ShardRecovery: re-grow DHT coverage after membership changes.
+// ShardRecovery: the epoch-change trigger of DHT reconciliation (DESIGN.md
+// §16 "DHT reconciliation").
 //
 // When a node dies, its shard of the content-tracing DHT dies with it and
 // the epoch-aware Placement remaps the orphaned hashes to alive successors;
 // when it returns, ownership snaps back to an (empty, if it crashed) home
 // shard. Either way the distributed database has a coverage hole exactly
-// where the exploitable redundancy used to be. The paper's answer is that
-// ground truth never left: every node's NSM block map still knows what its
-// entities hold (§3.2). This maintenance service closes the hole by having
-// every survivor re-publish the block-map entries whose hash ownership
-// moved between the previous and current membership views — through the
-// normal update interface (ServiceDaemon::publish_update), riding the same
-// owner-batched unreliable datagrams as monitor updates. Repairs are
-// therefore best-effort; DhtAudit convergence is the correctness oracle.
+// where the exploitable redundancy used to be. Ground truth never left:
+// every node's NSM block map still knows what its entities hold (§3.2).
+// After every view change this service diffs each home shard's replica
+// group between the remembered and the current view. A changed group whose
+// donor survived is left to ReplicaResync's cheap stream; any other changed
+// home is re-published from the block maps through the normal batched
+// update interface. Repairs are therefore best-effort; DhtAudit convergence
+// is the correctness oracle.
 //
-// Registered as an epoch listener on the cluster's failure detector, it
-// runs automatically at the end of every detection window that changes the
-// view. Detection windows run from the top level (Cluster::detect()), so
-// pumping the simulation to deliver the republish traffic is safe here.
+// Detection windows run from the top level (Cluster::detect()), so pumping
+// the simulation to deliver the republish traffic is safe here.
 #pragma once
 
 #include <vector>
@@ -44,10 +43,10 @@ class ShardRecovery {
   ShardRecovery(const ShardRecovery&) = delete;
   ShardRecovery& operator=(const ShardRecovery&) = delete;
 
-  /// Re-publishes every surviving node's block-map entries whose owner
-  /// differs between the remembered previous view and the current one, then
-  /// pumps the simulation so the updates land (or are lost). Call from the
-  /// top level only.
+  /// Re-publishes every home shard whose replica group differs between the
+  /// remembered previous view and the current one and has no surviving
+  /// donor, then pumps the simulation so the updates land (or are lost).
+  /// Call from the top level only.
   RecoveryReport recover();
 
   [[nodiscard]] const RecoveryReport& last_report() const noexcept { return last_; }
@@ -57,13 +56,12 @@ class ShardRecovery {
 
  private:
   core::Cluster& cluster_;
-  std::vector<bool> prev_alive_;  // view the DHT contents were built under
+  // The placement view the DHT contents were built under: the view current
+  // at construction, then the one each recovery ran against.
+  std::vector<bool> prev_alive_;
   RecoveryReport last_;
   obs::Counter* runs_ = nullptr;
   obs::Counter* republished_ = nullptr;
-  // Lazy (R > 1 only): dht/recovery_skipped_replicated — created on first
-  // skip so R = 1 snapshots keep their exact pre-replication cell set.
-  obs::Counter* skipped_replicated_ = nullptr;
 };
 
 }  // namespace concord::services

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -335,6 +336,48 @@ TEST(ShardRecovery, RepublishesRemappedEntriesAfterCrashAndHeal) {
   services::DhtAudit audit(*c);
   (void)audit.run_to_convergence(3);
   EXPECT_GE(c->total_unique_hashes() * 100, baseline * 99);
+}
+
+/// Ground-truth (hash, alive entity) pairs absent from the hash's current
+/// owner shard.
+std::size_t missing_pairs(const core::Cluster& c) {
+  std::size_t missing = 0;
+  for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
+    c.daemon(node_id(n)).block_map().for_each(
+        [&](const ContentHash& h, const std::vector<mem::BlockLocation>& locs) {
+          std::set<std::uint32_t> entities;
+          for (const mem::BlockLocation& loc : locs) {
+            if (c.registry().alive(loc.entity)) entities.insert(raw(loc.entity));
+          }
+          for (const std::uint32_t e : entities) {
+            if (!c.daemon(c.placement().owner(h)).store().contains(h, entity_id(e))) {
+              ++missing;
+            }
+          }
+        });
+  }
+  return missing;
+}
+
+TEST(ShardRecovery, ConstructedWhileANodeIsDownHealsItsReturn) {
+  // The service remembers the view the DHT was built under. Attached while
+  // node 3 is already out of the view, it must still see node 3's return as
+  // an ownership change and republish its home shard — with no audit.
+  auto c = make_cluster(8, 44);
+  populate(*c, 1);
+  const std::size_t baseline = c->total_unique_hashes();
+  ASSERT_EQ(missing_pairs(*c), 0u);
+
+  c->fault().crash(node_id(3));
+  (void)c->detect();
+  services::ShardRecovery recovery(*c);
+  c->fault().restart(node_id(3));
+  (void)c->detect();
+  (void)c->detect();
+
+  EXPECT_GT(recovery.total_republished(), 0u);
+  EXPECT_EQ(missing_pairs(*c), 0u);
+  EXPECT_GE(c->total_unique_hashes(), baseline);
 }
 
 TEST(ShardRecovery, DepartureRacingOwnerCrashConvergesAfterAudit) {

@@ -12,7 +12,9 @@
 //   * ReplicaResync + DhtAudit converge to a clean database under loss and
 //     a second mid-schedule crash;
 //   * R = 1 runs are byte-identical to the pre-replication behavior, for
-//     any sim_workers count, with or without a ReplicaResync constructed.
+//     any sim_workers count, with or without a ReplicaResync constructed;
+//   * the repair services' reports and per-type traffic on fixed crash ->
+//     heal -> audit schedules are pinned exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -283,6 +285,90 @@ TEST(ReplicaRecovery, SurvivingDonorTurnsRepublishIntoSkip) {
   (void)c1->detect();
   EXPECT_GT(rec1.last_report().republished, 0u);
   EXPECT_EQ(rec1.last_report().skipped_replicated, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Repair-traffic pins: the exact work the repair services do on a fixed
+// schedule, so that restructuring them can be checked message for message.
+// Virtual time is left out: the cost model calibrates it per host.
+// ---------------------------------------------------------------------------
+
+TEST(ReplicaRecoveryPin, ROneRepublishesExactlyThePairsWhoseOwnerMoved) {
+  auto c = make_cluster(8, 1, 37);
+  (void)populate(*c, 1);
+  services::ShardRecovery recovery(*c);
+  const std::vector<bool> prev(c->num_nodes(), true);
+  c->fault().crash(node_id(3));
+  (void)c->detect();
+
+  std::set<std::pair<ContentHash, std::uint32_t>> moved;
+  for (std::uint32_t n = 0; n < c->num_nodes(); ++n) {
+    if (!c->membership().is_alive(node_id(n))) continue;
+    c->daemon(node_id(n)).block_map().for_each(
+        [&](const ContentHash& h, const std::vector<mem::BlockLocation>& locs) {
+          if (c->placement().owner_in(prev, h) == c->placement().owner(h)) return;
+          for (const mem::BlockLocation& loc : locs) {
+            if (c->registry().alive(loc.entity)) moved.emplace(h, raw(loc.entity));
+          }
+        });
+  }
+  ASSERT_FALSE(moved.empty());
+  EXPECT_EQ(recovery.last_report().republished, moved.size());
+}
+
+/// Crashes `victims` at R = 2, then detect -> restart -> detect x2 -> audit
+/// to convergence. Returns one row per detection window (recovery and
+/// resync report fields), one audit row, and (type, msgs, bytes) for every
+/// message type sent.
+std::vector<std::vector<std::uint64_t>> r2_repair_cycle(std::uint64_t seed,
+                                                        const std::vector<NodeId>& victims) {
+  auto c = make_cluster(8, 2, seed);
+  (void)populate(*c, 1);
+  services::ShardRecovery recovery(*c);
+  services::ReplicaResync resync(*c);
+
+  std::vector<std::vector<std::uint64_t>> got;
+  auto window = [&]() {
+    (void)c->detect();
+    const services::RecoveryReport& r = recovery.last_report();
+    const services::ResyncReport& s = resync.last_report();
+    got.push_back({r.epoch, r.hashes_checked, r.republished, r.skipped_replicated, s.epoch,
+                   s.shards_examined, s.shards_synced, s.records_streamed, s.no_donor});
+  };
+  for (const NodeId v : victims) c->fault().crash(v);
+  window();
+  for (const NodeId v : victims) c->fault().restart(v);
+  window();
+  window();
+  services::DhtAudit audit(*c);
+  const services::AuditReport a = audit.run_to_convergence();
+  got.push_back({a.entries_checked, a.missing_repaired, a.stale_removed, a.misplaced_removed,
+                 a.under_replicated, a.over_replicated, a.corrupt_quarantined});
+  for (std::size_t t = 0; t < net::kNumMsgTypes; ++t) {
+    const std::string label(net::to_string(static_cast<net::MsgType>(t)));
+    const std::uint64_t msgs = c->metrics().counter_total("net", "type_msgs." + label);
+    if (msgs != 0) {
+      got.push_back({t, msgs, c->metrics().counter_total("net", "type_bytes." + label)});
+    }
+  }
+  return got;
+}
+
+TEST(ReplicaRecoveryPin, RTwoSingleCrashIsAllDonorStreams) {
+  const std::vector<std::vector<std::uint64_t>> want = {
+      {1, 77, 0, 10, 1, 2, 2, 12, 0},  {2, 89, 0, 12, 2, 2, 2, 12, 0},
+      {2, 89, 0, 12, 2, 2, 2, 12, 0},  {546, 0, 0, 12, 0, 12, 0},
+      {2, 50, 6486},  {11, 100, 11920},  {12, 504, 37800},  {14, 4, 796}};
+  EXPECT_EQ(r2_repair_cycle(38, {node_id(3)}), want);
+}
+
+TEST(ReplicaRecoveryPin, RTwoAdjacentCrashesFallBackToRepublish) {
+  // Nodes 3 and 4 together form home 3's whole group: no donor survives.
+  const std::vector<std::vector<std::uint64_t>> want = {
+      {1, 65, 6, 12, 1, 2, 2, 17, 0},  {2, 89, 7, 17, 2, 2, 2, 17, 0},
+      {2, 89, 7, 17, 2, 2, 2, 17, 0},  {563, 0, 0, 29, 0, 29, 0},
+      {2, 65, 7848},  {11, 100, 11920},  {12, 504, 37800},  {14, 4, 1006}};
+  EXPECT_EQ(r2_repair_cycle(39, {node_id(3), node_id(4)}), want);
 }
 
 // ---------------------------------------------------------------------------
