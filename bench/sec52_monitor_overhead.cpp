@@ -14,6 +14,8 @@
 // hashes one page per call, *Batch 64 pages per hash_many() call, and
 // *Batch/<isa> the same 64 pages through one tier of hash::batch_kernels()
 // (every tier this CPU runs), `lanes` pages per kernel call.
+// BM_SeGroundTruth/{full,monitor} take one service entity's current block
+// hashes by hashing all of it, or from the update monitor.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -132,6 +134,41 @@ void bm_hash_tier(benchmark::State& state, hash::BatchKernel::Fn kernel, std::si
                           static_cast<std::int64_t>(buf.size()));
 }
 
+constexpr std::size_t kSeBlocks = 384;  // one service entity of 384 × 4 KiB
+constexpr std::size_t kSeDirtyStride = 100;  // every 100th block written: 4 of 384, ~1%
+
+/// A service command's ground truth for one SE whose every 100th block was
+/// written since the monitor's last dirty-bit scan. `full` hashes every
+/// block with hash_many; `monitor` is MemoryUpdateMonitor::current_hashes,
+/// which copies the last scanned hashes and rehashes the written blocks.
+/// Bytes processed count the whole SE, so MB/s is SE memory resolved per
+/// second.
+void bm_se_ground_truth(benchmark::State& state, bool from_monitor) {
+  mem::MemoryEntity se(entity_id(0), node_id(0), EntityKind::kProcess, kSeBlocks,
+                       kDefaultBlockSize);
+  workload::fill(se, workload::defaults_for(workload::Kind::kMoldy, 1));
+  mem::MemoryUpdateMonitor monitor(hash::BlockHasher{}, mem::DetectMode::kDirtyBit);
+  monitor.attach(se);
+  (void)monitor.scan([](const mem::ContentUpdate&) {});
+  for (BlockIndex b = 0; b < kSeBlocks; b += kSeDirtyStride) {
+    se.write_block(b)[0] ^= std::byte{1};
+  }
+
+  std::vector<ContentHash> out(kSeBlocks);
+  for (auto _ : state) {
+    if (from_monitor) {
+      monitor.current_hashes(se, out);
+    } else {
+      monitor.hasher().hash_many(se.blocks(), out);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["stale_blocks"] = static_cast<double>(se.dirty().count());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(se.memory_bytes()));
+}
+
 void BM_Md5Page(benchmark::State& state) { bm_hash_page(state, hash::Algorithm::kMd5); }
 void BM_SuperFastPage(benchmark::State& state) {
   bm_hash_page(state, hash::Algorithm::kSuperFast);
@@ -144,6 +181,8 @@ BENCHMARK(BM_Md5Page);
 BENCHMARK(BM_SuperFastPage);
 BENCHMARK(BM_Md5Batch);
 BENCHMARK(BM_SuperFastBatch);
+BENCHMARK_CAPTURE(bm_se_ground_truth, full, false)->Name("BM_SeGroundTruth/full");
+BENCHMARK_CAPTURE(bm_se_ground_truth, monitor, true)->Name("BM_SeGroundTruth/monitor");
 
 }  // namespace
 

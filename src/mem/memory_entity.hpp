@@ -84,7 +84,10 @@ class MemoryEntity {
   [[nodiscard]] const Bitmap& dirty() const noexcept { return dirty_; }
 
   /// Hands the dirty set to a monitor and clears it (the "periodically mark
-  /// clean, rescan for dirty" cycle of §3.1).
+  /// clean, rescan for dirty" cycle of §3.1). The monitor tracking the entity
+  /// must be its only caller: that monitor treats its last scanned hash of a
+  /// clean block as exact (MemoryUpdateMonitor::current_hashes), which holds
+  /// only while every cleared bit went through one of its scans.
   [[nodiscard]] Bitmap consume_dirty() {
     Bitmap out = std::move(dirty_);
     dirty_ = Bitmap(num_blocks());

@@ -191,4 +191,36 @@ const std::vector<ContentHash>* MemoryUpdateMonitor::known_hashes(EntityId id) c
   return it == tracked_.end() ? nullptr : &it->second.last_hash;
 }
 
+const MemoryUpdateMonitor::Tracked* MemoryUpdateMonitor::tracked(
+    const MemoryEntity& entity) const {
+  const auto it = tracked_.find(entity.id());
+  return it == tracked_.end() || it->second.entity != &entity ? nullptr : &it->second;
+}
+
+void MemoryUpdateMonitor::current_hashes(const MemoryEntity& entity,
+                                         std::vector<ContentHash>& out) const {
+  const Tracked* t = tracked(entity);
+  if (t == nullptr) {
+    out.resize(entity.num_blocks());
+    hasher_.hash_many(entity.blocks(), out);
+    return;
+  }
+  out = t->last_hash;
+  std::vector<BlockIndex> idx;
+  std::vector<std::span<const std::byte>> blocks;
+  for (BlockIndex b = 0; b < out.size(); ++b) {
+    if (!stale(*t, b)) continue;
+    idx.push_back(b);
+    blocks.push_back(entity.block(b));
+  }
+  std::vector<ContentHash> fresh(idx.size());
+  hasher_.hash_many(blocks, fresh);
+  for (std::size_t i = 0; i < idx.size(); ++i) out[idx[i]] = fresh[i];
+}
+
+ContentHash MemoryUpdateMonitor::current_hash(const MemoryEntity& entity, BlockIndex b) const {
+  const Tracked* t = tracked(entity);
+  return t == nullptr || stale(*t, b) ? hasher_(entity.block(b)) : t->last_hash[b];
+}
+
 }  // namespace concord::mem

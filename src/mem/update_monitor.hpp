@@ -108,9 +108,21 @@ class MemoryUpdateMonitor {
   /// The node's ground-truth content index (§3.2).
   [[nodiscard]] const LocalBlockMap& block_map() const noexcept { return block_map_; }
 
-  /// Ground truth for one entity: last scanned hash per block. Used by the
-  /// service command's local phase.
+  /// Last scanned hash per block of entity `id` (zero hash = never scanned):
+  /// the hashes this node has published, which is what a departure removes.
+  /// A block written since the scan keeps its old hash here; current_hashes()
+  /// reads the entity as it is now.
   [[nodiscard]] const std::vector<ContentHash>* known_hashes(EntityId id) const;
+
+  /// The hash of every block of `entity` as its bytes are now, into `out`:
+  /// bit for bit what BlockHasher::hash_many over entity.blocks() returns.
+  /// Each block's last scanned hash is exact unless the block is stale (see
+  /// stale()), so only stale blocks are rehashed, in one hash_many call. An
+  /// entity this monitor does not track is hashed whole.
+  void current_hashes(const MemoryEntity& entity, std::vector<ContentHash>& out) const;
+
+  /// current_hashes() for the one block `b`.
+  [[nodiscard]] ContentHash current_hash(const MemoryEntity& entity, BlockIndex b) const;
 
   [[nodiscard]] std::size_t tracked_entities() const noexcept { return tracked_.size(); }
 
@@ -133,6 +145,19 @@ class MemoryUpdateMonitor {
     obs::Counter* scans = nullptr;
     obs::Histogram* dirty_ratio_pct = nullptr;  // hashed/examined per scan
   };
+
+  /// `entity`'s record, or nullptr when this monitor does not track it.
+  [[nodiscard]] const Tracked* tracked(const MemoryEntity& entity) const;
+
+  /// True when t.last_hash[b] may differ from the hash of the block's bytes:
+  /// the block is dirty, pending after a throttled scan, or never scanned.
+  /// Every other last hash is exact: write_block() is the only mutable
+  /// accessor of an entity's bytes and sets the dirty bit, this monitor is
+  /// the only consumer of the dirty bits, and a scan stores the hash of
+  /// every candidate it hashes and leaves every candidate it skips pending.
+  [[nodiscard]] static bool stale(const Tracked& t, BlockIndex b) noexcept {
+    return t.entity->dirty().test(b) || t.pending.test(b) || !t.ever_scanned[b];
+  }
 
   Cells resolve_cells(std::int32_t node);
   [[nodiscard]] ScanStats snapshot() const;

@@ -75,9 +75,10 @@ struct CommandEngine::Execution {
   std::vector<std::unordered_map<ContentHash, std::uint64_t>> handled;
 
   // Per-SE ground truth, indexed by raw(EntityId): every block's current
-  // hash from one batched pass, shared by dispatch verification and the
-  // local phase. `writes` is the entity's writes() at that pass; a differing
-  // value means the bytes changed since, and the pass is retaken.
+  // hash from the host monitor's current_hashes(), shared by dispatch
+  // verification and the local phase. `writes` is the entity's writes() when
+  // it was taken; a differing value means the bytes changed since, and it is
+  // retaken.
   struct SeHashes {
     std::vector<ContentHash> hashes;
     std::uint64_t writes = 0;
@@ -637,11 +638,11 @@ void CommandEngine::handle_dispatch(core::ServiceDaemon& d, const DispatchMsg& d
       const mem::MemoryEntity& e = cluster_.entity(loc.entity);
       const auto data = e.block(loc.block);
       cost += cm.hash_cost(algo, data.size());  // verification rehash
-      // An SE's local phase hashes all its blocks anyway, so verification
-      // reads that same batched pass; a PE has no local phase, so only this
-      // block is rehashed.
-      const ContentHash actual =
-          is_se ? se_ground_truth(d, e)[loc.block] : d.monitor().hasher()(data);
+      // An SE's local phase reads all its blocks anyway, so verification
+      // reads that same per-command array; a PE has no local phase, so only
+      // this block's hash is taken, by the same monitor rule.
+      const ContentHash actual = is_se ? se_ground_truth(d, e)[loc.block]
+                                       : d.monitor().current_hash(e, loc.block);
       if (actual != dm.hash) continue;  // stale map entry
       const Result<std::uint64_t> r =
           ex.service->collective_command(n, dm.chosen, dm.hash, data);
@@ -750,8 +751,7 @@ const std::vector<ContentHash>& CommandEngine::se_ground_truth(core::ServiceDaem
                                                                const mem::MemoryEntity& e) {
   Execution::SeHashes& gt = active_->se_hashes[raw(e.id())];
   if (!gt.taken || gt.writes != e.writes()) {
-    gt.hashes.resize(e.num_blocks());
-    d.monitor().hasher().hash_many(e.blocks(), gt.hashes);
+    d.monitor().current_hashes(e, gt.hashes);
     gt.writes = e.writes();
     gt.taken = true;
   }
@@ -775,8 +775,8 @@ Status CommandEngine::run_local_phase(core::ServiceDaemon& d, sim::Time& cost) {
     if (!ok(s)) st = s;
     cost += cm.callback_cost();
 
-    // Ground truth: every block of the SE hashed before the service sees
-    // any of them — the pass dispatch verification took, if the SE is
+    // Ground truth: every block's current hash, taken before the service
+    // sees any of them — the array dispatch verification took, if the SE is
     // unwritten since.
     const mem::MemoryEntity& e = cluster_.entity(eid);
     const std::vector<ContentHash>& hashes = se_ground_truth(d, e);

@@ -29,12 +29,16 @@
 //               hash; local_finalize(); barrier.
 //   deinit      service_deinit() on scope nodes; barrier; command completes.
 //
-// Ground truth is hashed once per SE per command: the first time an SE's
-// host needs it (a dispatch verified against the SE, or else its local
-// phase), every block of the SE is hashed in one batched pass, and both
-// steps read that pass. The pass is retaken whenever the entity's writes()
-// count has moved since, so content rewritten mid-command is never trusted
-// under its old hash. A dispatch to a participant rehashes just that block.
+// Ground truth comes from the SE host's memory update monitor, which keeps
+// a hash of every block current between scans: its last scanned hash is
+// exact for each block that is clean, not pending and scanned, and only the
+// other blocks are rehashed (MemoryUpdateMonitor::current_hashes). The
+// first time an SE's host needs ground truth (a dispatch verified against
+// the SE, or else its local phase), it takes the hash of every block of the
+// SE that way, once per command, and both steps read that array. The array
+// is retaken whenever the entity's writes() count has moved since, so
+// content rewritten mid-command is never trusted under its old hash. A
+// dispatch to a participant takes just that block's hash by the same rule.
 // The virtual clock still charges one block hash per verification and per
 // local-phase block; only host time is saved.
 //
@@ -151,8 +155,9 @@ class CommandEngine {
   void finish_seq(core::ServiceDaemon& d, std::uint64_t seq, bool success);
   void check_shard_drained(core::ServiceDaemon& d);
 
-  // Ground truth at an SE host: the hash of every block of SE `e`, from one
-  // BlockHasher::hash_many pass per command, retaken when e.writes() moved.
+  // Ground truth at an SE host: the current hash of every block of SE `e`,
+  // from the host monitor's current_hashes() once per command, retaken when
+  // e.writes() moved.
   const std::vector<ContentHash>& se_ground_truth(core::ServiceDaemon& d,
                                                   const mem::MemoryEntity& e);
 

@@ -4,7 +4,9 @@
 
 #include <cstring>
 #include <map>
+#include <vector>
 
+#include "hash/block_hasher.hpp"
 #include "mem/memory_entity.hpp"
 #include "mem/update_monitor.hpp"
 
@@ -86,7 +88,38 @@ struct Collected {
   [[nodiscard]] std::size_t removes() const { return updates.size() - inserts(); }
 };
 
+/// The monitor's current hashes of `e`, whole and block by block, must equal
+/// an independent hash of every block as it is now.
+void expect_current(const MemoryUpdateMonitor& mon, const MemoryEntity& e) {
+  std::vector<ContentHash> want(e.num_blocks());
+  hash::BlockHasher{}.hash_many(e.blocks(), want);
+  std::vector<ContentHash> got;
+  mon.current_hashes(e, got);
+  ASSERT_EQ(got.size(), want.size());
+  for (BlockIndex b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(got[b], want[b]) << "current_hashes, block " << b;
+    EXPECT_EQ(mon.current_hash(e, b), want[b]) << "current_hash, block " << b;
+  }
+}
+
 class MonitorModes : public ::testing::TestWithParam<DetectMode> {};
+
+TEST_P(MonitorModes, CurrentHashesTrackWritesSinceTheScan) {
+  MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 40, kBlk);
+  for (BlockIndex b = 0; b < 40; ++b) stamp(e, b, b % 9);
+  MemoryUpdateMonitor mon(hash::BlockHasher{}, GetParam());
+  mon.attach(e);
+  expect_current(mon, e);  // before any scan
+  Collected c;
+  (void)mon.scan(c.emit());
+  expect_current(mon, e);
+
+  for (BlockIndex b = 1; b < 40; b += 7) stamp(e, b, 5000 + b);
+  stamp(e, 3, 3 % 9);  // rewritten with the bytes it already held
+  expect_current(mon, e);
+  (void)mon.scan(c.emit());
+  expect_current(mon, e);
+}
 
 TEST_P(MonitorModes, FirstScanInsertsEveryBlock) {
   MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 8, kBlk);
@@ -216,6 +249,65 @@ TEST(Monitor, ThrottledScanWithSpareBudgetMatchesBatchedScan) {
     }
     EXPECT_EQ(batched_reg.to_json(), throttled_reg.to_json());
     EXPECT_EQ(throttled_reg.counter_total("mem", "throttled_blocks"), 0u);
+  }
+}
+
+TEST(Monitor, CurrentHashesExactAcrossAThrottledScan) {
+  for (const DetectMode mode : {DetectMode::kFullScan, DetectMode::kDirtyBit}) {
+    MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 40, kBlk);
+    for (BlockIndex b = 0; b < 40; ++b) stamp(e, b, b);
+    MemoryUpdateMonitor mon(hash::BlockHasher{}, mode);
+    mon.attach(e);
+    Collected c;
+    (void)mon.scan(c.emit());
+
+    // Every block scanned; now rewrite most of them and scan under a budget
+    // of 5 changed blocks, so the rest stay pending with clean dirty bits.
+    for (BlockIndex b = 0; b < 30; ++b) stamp(e, b, 100 + b);
+    mon.set_update_budget(10);
+    const ScanStats st = mon.scan(c.emit());
+    ASSERT_GT(st.throttled_blocks, 0u);
+    expect_current(mon, e);
+
+    stamp(e, 29, 7);  // a pending block written again
+    expect_current(mon, e);
+    for (int epoch = 0; epoch < 8; ++epoch) (void)mon.scan(c.emit());
+    expect_current(mon, e);
+  }
+}
+
+TEST(Monitor, CurrentHashesOfAnEntityAttachedAfterTheScan) {
+  MemoryEntity a(entity_id(0), node_id(0), EntityKind::kProcess, 8, kBlk);
+  for (BlockIndex b = 0; b < 8; ++b) stamp(a, b, b);
+  MemoryUpdateMonitor mon(hash::BlockHasher{}, DetectMode::kDirtyBit);
+  mon.attach(a);
+  Collected c;
+  (void)mon.scan(c.emit());
+
+  MemoryEntity b(entity_id(1), node_id(0), EntityKind::kProcess, 8, kBlk);
+  for (BlockIndex blk = 0; blk < 8; ++blk) stamp(b, blk, 50 + blk);
+  expect_current(mon, b);  // untracked: hashed whole
+  mon.attach(b);
+  expect_current(mon, b);
+  expect_current(mon, a);
+}
+
+TEST(Monitor, CurrentHashesAfterDetachAndReattach) {
+  for (const DetectMode mode : {DetectMode::kFullScan, DetectMode::kDirtyBit}) {
+    MemoryEntity e(entity_id(0), node_id(0), EntityKind::kProcess, 8, kBlk);
+    for (BlockIndex b = 0; b < 8; ++b) stamp(e, b, b + 1);
+    MemoryUpdateMonitor mon(hash::BlockHasher{}, mode);
+    mon.attach(e);
+    Collected c;
+    (void)mon.scan(c.emit());
+    mon.detach(entity_id(0));
+    stamp(e, 2, 99);
+    // Re-attached, the clean blocks were scanned once but not since the
+    // monitor forgot them.
+    mon.attach(e);
+    expect_current(mon, e);
+    (void)mon.scan(c.emit());
+    expect_current(mon, e);
   }
 }
 

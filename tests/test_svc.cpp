@@ -21,12 +21,14 @@ namespace {
 constexpr std::size_t kBlk = 256;
 
 std::unique_ptr<core::Cluster> make_cluster(std::uint32_t nodes, std::uint64_t seed = 42,
-                                            double loss = 0.0) {
+                                            double loss = 0.0,
+                                            mem::DetectMode mode = mem::DetectMode::kFullScan) {
   core::ClusterParams p;
   p.num_nodes = nodes;
   p.max_entities = 64;
   p.seed = seed;
   p.fabric.loss_rate = loss;
+  p.detect_mode = mode;
   return std::make_unique<core::Cluster>(p);
 }
 
@@ -410,6 +412,62 @@ TEST(CommandEngine, OracleAgreesOnStaleDht) {
   EXPECT_EQ(stats.collective_handled + stats.collective_stale, stats.distinct_hashes);
   EXPECT_EQ(svc.local_seen.size(), 4u * 24u);
   for (const auto& [key, seen] : svc.local_seen) EXPECT_EQ(seen.calls, 1);
+}
+
+TEST(CommandEngine, OracleAgreesAfterAThrottledScan) {
+  // Ground truth reads the monitors' last scanned hashes: blocks a throttled
+  // scan left pending are clean but stale, and must be rehashed.
+  for (const mem::DetectMode mode : {mem::DetectMode::kFullScan, mem::DetectMode::kDirtyBit}) {
+    auto c = make_cluster(4, 83, 0.0, mode);
+    std::vector<EntityId> ses;
+    for (std::uint32_t n = 0; n < 4; ++n) {
+      ses.push_back(add_entity(*c, n, workload::Kind::kMoldy, n + 30, 24));
+    }
+    mem::MemoryEntity& copy = c->create_entity(node_id(1), EntityKind::kProcess, 24, kBlk);
+    for (BlockIndex b = 0; b < 24; ++b) copy.write_block(b, c->entity(ses[0]).block(b));
+    const EntityId pe = copy.id();
+    (void)c->scan_all();
+    for (const EntityId e : ses) workload::mutate(c->entity(e), 0.5, 777);
+    workload::mutate(c->entity(pe), 0.5, 778);
+    for (std::uint32_t n = 0; n < 4; ++n) c->daemon(node_id(n)).monitor().set_update_budget(4);
+    const mem::ScanStats scan = c->scan_all();
+    ASSERT_GT(scan.throttled_blocks, 0u);
+
+    VerifyingService svc;
+    CommandEngine engine(*c);
+    CommandSpec spec;
+    spec.service_entities = ses;
+    spec.participants = {pe};
+    const CommandStats stats = engine.execute(svc, spec);
+    ASSERT_TRUE(ok(stats.status));
+    EXPECT_EQ(svc.mismatches, 0u);
+    EXPECT_EQ(stats.collective_handled + stats.collective_stale, stats.distinct_hashes);
+    EXPECT_EQ(svc.local_seen.size(), 4u * 24u);
+    for (const auto& [key, seen] : svc.local_seen) EXPECT_EQ(seen.calls, 1);
+  }
+}
+
+TEST(CommandEngine, OracleAgreesOnSesWrittenAfterAFullScan) {
+  // Full-scan mode: the SEs are rewritten after the scan, and again between
+  // two commands with no scan in between.
+  auto c = make_cluster(4, 87, 0.0, mem::DetectMode::kFullScan);
+  std::vector<EntityId> ses;
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    ses.push_back(add_entity(*c, n, workload::Kind::kMoldy, n + 40, 24));
+  }
+  (void)c->scan_all();
+  CommandEngine engine(*c);
+  CommandSpec spec;
+  spec.service_entities = ses;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    for (const EntityId e : ses) workload::mutate(c->entity(e), 0.3, 900 + round);
+    VerifyingService svc;
+    const CommandStats stats = engine.execute(svc, spec);
+    ASSERT_TRUE(ok(stats.status));
+    EXPECT_EQ(svc.mismatches, 0u) << "round " << round;
+    EXPECT_EQ(svc.local_seen.size(), 4u * 24u);
+    for (const auto& [key, seen] : svc.local_seen) EXPECT_EQ(seen.calls, 1);
+  }
 }
 
 TEST(CommandEngine, OracleAgreesWhenAnSeIsRewrittenMidCommand) {
