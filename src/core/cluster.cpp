@@ -15,18 +15,14 @@ namespace concord::core {
 Cluster::Cluster(ClusterParams params)
     : params_(params),
       sim_(params.seed),
-      blackbox_(params.num_nodes, params.blackbox_capacity),
+      blackbox_(metrics_, params.num_nodes, params.blackbox_capacity),
       watchdog_(metrics_),
-      fabric_(sim_, params.fabric),
+      fabric_(sim_, params.fabric, &metrics_),
       placement_(params.single_node_dht ? 1 : params.num_nodes),
       registry_(params.max_entities),
       fault_(sim_, fabric_),
       detector_(sim_, fabric_, params.num_nodes, params.detector) {
-  // Bind the fabric first so daemon registration resolves cells straight
-  // into the shared registry instead of the fabric's private fallback.
   if (!params_.single_node_dht) placement_.set_replication(params_.dht_replication);
-  fabric_.bind_metrics(metrics_);
-  blackbox_.bind_metrics(metrics_);
   fabric_.bind_flight_recorder(&blackbox_);
   fabric_.bind_tracer(&tracer_);
   fabric_.set_trace_propagation(params.trace_propagation);
@@ -37,7 +33,6 @@ Cluster::Cluster(ClusterParams params)
         hash::BlockHasher(params_.hash_algorithm), params_.detect_mode,
         params_.update_batching));
     daemons_.back()->monitor().set_hash_workers(params_.hash_workers);
-    daemons_.back()->bind_metrics(metrics_);
     daemons_.back()->set_handler(net::MsgType::kHeartbeat,
                                  [this](ServiceDaemon& d, const net::Message& m) {
                                    detector_.handle_heartbeat(d.id(), m);
@@ -141,7 +136,6 @@ Cluster::Cluster(ClusterParams params)
   if (params_.pressure.enabled) {
     pressure_ = std::make_unique<PressureController>(fabric_, params_.pressure);
     for (auto& d : daemons_) pressure_->attach(*d);
-    pressure_->bind_metrics(metrics_);
   }
   watchdog_.set_hard_fail(params.watchdog.hard_fail);
   watchdog_.on_violation([this](const obs::Watchdog::Finding& f) {

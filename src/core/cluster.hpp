@@ -115,8 +115,8 @@ class Cluster {
   const MembershipView& detect() { return detector_.run_window(); }
 
   /// The site-wide metrics registry. Every subsystem (fabric, DHT shards,
-  /// update monitors, command engines via bind) accounts here; snapshot with
-  /// metrics().to_json() / to_csv().
+  /// update monitors, command engines) accounts here, each component given
+  /// it at construction; snapshot with metrics().to_json() / to_csv().
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const obs::Registry& metrics() const noexcept { return metrics_; }
 

@@ -11,34 +11,23 @@ namespace concord::core {
 void PressureController::attach(ServiceDaemon& daemon) {
   daemon.batcher().set_flow_control(true, params_.initial_credits);
   daemon.set_credit_grants(true);
-  Tracked t;
-  t.daemon = &daemon;
-  t.budget = params_.initial_update_budget;
-  t.quota = params_.initial_flush_quota;
-  tracked_.push_back(t);
+  obs::Registry& r = fabric_.metrics();
+  const auto node = static_cast<std::int32_t>(raw(daemon.id()));
+  tracked_.push_back(Tracked{.daemon = &daemon,
+                             .budget = params_.initial_update_budget,
+                             .quota = params_.initial_flush_quota,
+                             .budget_gauge = &r.gauge("core", "update_budget", node),
+                             .quota_gauge = &r.gauge("core", "flush_quota", node),
+                             .credits_gauge = &r.gauge("core", "flow_credits", node)});
   apply(tracked_.back());
-}
-
-void PressureController::bind_metrics(obs::Registry& registry) {
-  for (Tracked& t : tracked_) {
-    const auto node = static_cast<std::int32_t>(raw(t.daemon->id()));
-    t.budget_gauge = &registry.gauge("core", "update_budget", node);
-    t.quota_gauge = &registry.gauge("core", "flush_quota", node);
-    t.credits_gauge = &registry.gauge("core", "flow_credits", node);
-    t.budget_gauge->set(static_cast<std::int64_t>(t.budget));
-    t.quota_gauge->set(static_cast<std::int64_t>(t.quota));
-    t.credits_gauge->set(static_cast<std::int64_t>(t.daemon->batcher().credits()));
-  }
 }
 
 void PressureController::apply(Tracked& t) {
   t.daemon->monitor().set_update_budget(t.budget);
   t.daemon->batcher().set_flush_quota(t.quota);
-  if (t.budget_gauge != nullptr) t.budget_gauge->set(static_cast<std::int64_t>(t.budget));
-  if (t.quota_gauge != nullptr) t.quota_gauge->set(static_cast<std::int64_t>(t.quota));
-  if (t.credits_gauge != nullptr) {
-    t.credits_gauge->set(static_cast<std::int64_t>(t.daemon->batcher().credits()));
-  }
+  t.budget_gauge->set(static_cast<std::int64_t>(t.budget));
+  t.quota_gauge->set(static_cast<std::int64_t>(t.quota));
+  t.credits_gauge->set(static_cast<std::int64_t>(t.daemon->batcher().credits()));
 }
 
 void PressureController::after_scan() {

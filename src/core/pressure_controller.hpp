@@ -60,14 +60,11 @@ class PressureController {
   PressureController& operator=(const PressureController&) = delete;
 
   /// Wires a daemon into the loop: enables credit flow control and grants in
-  /// both roles, and installs the initial budget/quota. Attach in ascending
-  /// node order for deterministic adaptation.
+  /// both roles, installs the initial budget/quota, and publishes them with
+  /// the daemon's credits as per-node update_budget / flush_quota /
+  /// flow_credits gauges (subsystem "core", in the fabric's registry).
+  /// Attach in ascending node order for deterministic adaptation.
   void attach(ServiceDaemon& daemon);
-
-  /// Publishes per-node update_budget / flush_quota / credits gauges
-  /// (subsystem "core"). Only call when the controller is in use — the
-  /// gauges would otherwise perturb byte-identical unpressured snapshots.
-  void bind_metrics(obs::Registry& registry);
 
   /// One AIMD step per attached daemon. Call at the scan boundary, after
   /// the simulation has drained the epoch's traffic.

@@ -7,6 +7,11 @@
 
 namespace concord::core {
 
+namespace {
+/// The registry node label of `n`.
+std::int32_t label(NodeId n) { return static_cast<std::int32_t>(raw(n)); }
+}  // namespace
+
 ServiceDaemon::ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMode alloc_mode,
                              const dht::Placement& placement, net::Fabric& fabric,
                              hash::BlockHasher hasher, mem::DetectMode detect_mode,
@@ -14,26 +19,13 @@ ServiceDaemon::ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMo
     : id_(id),
       placement_(placement),
       fabric_(fabric),
-      store_(max_entities, alloc_mode),
-      monitor_(hasher, detect_mode),
-      batcher_(id, fabric, batching, &placement) {
+      store_(max_entities, alloc_mode, &fabric.metrics(), label(id)),
+      monitor_(hasher, detect_mode, &fabric.metrics(), label(id)),
+      batcher_(id, fabric, batching, &placement),
+      updates_local_(fabric.metrics().counter("core", "updates_local", label(id))),
+      updates_remote_(fabric.metrics().counter("core", "updates_remote", label(id))),
+      unhandled_msgs_(fabric.metrics().counter("core", "unhandled_msgs", label(id))) {
   fabric_.register_node(id_, [this](net::Message& m) { handle_message(m); });
-}
-
-void ServiceDaemon::bind_metrics(obs::Registry& registry) {
-  const auto node = static_cast<std::int32_t>(raw(id_));
-  store_.bind_metrics(registry, node);
-  monitor_.bind_metrics(registry, node);
-  obs::Counter* old_local = updates_local_;
-  obs::Counter* old_remote = updates_remote_;
-  obs::Counter* old_unhandled = unhandled_msgs_;
-  updates_local_ = &registry.counter("core", "updates_local", node);
-  updates_remote_ = &registry.counter("core", "updates_remote", node);
-  unhandled_msgs_ = &registry.counter("core", "unhandled_msgs", node);
-  if (old_local != nullptr) updates_local_->inc(old_local->value());
-  if (old_remote != nullptr) updates_remote_->inc(old_remote->value());
-  if (old_unhandled != nullptr) unhandled_msgs_->inc(old_unhandled->value());
-  batcher_.bind_metrics(registry, node);
 }
 
 void ServiceDaemon::route_update(const mem::ContentUpdate& u) {
@@ -46,14 +38,14 @@ void ServiceDaemon::route_update(const mem::ContentUpdate& u) {
     const dht::UpdateRecord rec{u.hash, u.entity, insert};
     for (const NodeId dst : placement_.replicas(u.hash)) {
       if (dst == id_) {
-        if (updates_local_ != nullptr) updates_local_->inc();
+        updates_local_.inc();
         if (insert) {
           store_.insert(u.hash, u.entity);
         } else {
           store_.remove(u.hash, u.entity);
         }
       } else {
-        if (updates_remote_ != nullptr) updates_remote_->inc();
+        updates_remote_.inc();
         route_update_to(dst, rec);
       }
     }
@@ -63,7 +55,7 @@ void ServiceDaemon::route_update(const mem::ContentUpdate& u) {
   if (owner == id_) {
     // Local shard: apply directly; no network traffic (intra-node updates
     // bypass the NIC in the real system too).
-    if (updates_local_ != nullptr) updates_local_->inc();
+    updates_local_.inc();
     if (insert) {
       store_.insert(u.hash, u.entity);
     } else {
@@ -71,7 +63,7 @@ void ServiceDaemon::route_update(const mem::ContentUpdate& u) {
     }
     return;
   }
-  if (updates_remote_ != nullptr) updates_remote_->inc();
+  updates_remote_.inc();
   route_update_to(owner, dht::UpdateRecord{u.hash, u.entity, insert});
 }
 
@@ -208,7 +200,7 @@ void ServiceDaemon::handle_message(net::Message& msg) {
       if (it != handlers_.end()) {
         it->second(*this, msg);
       } else {
-        if (unhandled_msgs_ != nullptr) unhandled_msgs_->inc();
+        unhandled_msgs_.inc();
         log::warn("daemon %u: unhandled message type %u", raw(id_),
                   static_cast<unsigned>(msg.type));
       }

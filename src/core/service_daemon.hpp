@@ -61,18 +61,16 @@ struct ReplicaSyncMsg {
 
 class ServiceDaemon {
  public:
+  /// The DHT shard, update monitor and batcher account into the fabric's
+  /// registry, labeled with `id`, as do the daemon's own update-routing
+  /// counters (subsystem "core": updates_local applied to the co-located
+  /// shard, updates_remote sent over the fabric).
   ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMode alloc_mode,
                 const dht::Placement& placement, net::Fabric& fabric,
                 hash::BlockHasher hasher, mem::DetectMode detect_mode,
                 BatchPolicy batching = {});
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
-
-  /// Binds this daemon's DHT shard and update monitor into the shared
-  /// registry (labeled with this node's id) and adds the daemon's own
-  /// update-routing counters (subsystem "core": updates_local applied to the
-  /// co-located shard, updates_remote sent over the fabric).
-  void bind_metrics(obs::Registry& registry);
 
   // --- local entity tracking (NSM surface) ---
   void track(mem::MemoryEntity& entity) { monitor_.attach(entity); }
@@ -233,9 +231,9 @@ class ServiceDaemon {
   std::map<std::uint32_t, std::uint64_t> dirty_shards_;
   std::uint64_t applied_epoch_ = 0;
   std::unordered_map<std::uint16_t, ExtraHandler> handlers_;
-  obs::Counter* updates_local_ = nullptr;   // shard co-located: applied directly
-  obs::Counter* updates_remote_ = nullptr;  // shipped to the owner over the fabric
-  obs::Counter* unhandled_msgs_ = nullptr;  // arrived with no registered handler
+  obs::Counter& updates_local_;   // shard co-located: applied directly
+  obs::Counter& updates_remote_;  // shipped to the owner over the fabric
+  obs::Counter& unhandled_msgs_;  // arrived with no registered handler
 };
 
 }  // namespace concord::core

@@ -18,34 +18,15 @@ constexpr std::uint64_t kMaxCredits = 1u << 20;
 constexpr std::size_t kPendingCapBatches = 8;
 }  // namespace
 
-void UpdateBatcher::bind_metrics(obs::Registry& registry, std::int32_t node) {
-  registry_ = &registry;
-  metrics_node_ = node;
-  obs::Counter* old = updates_batched_;
-  updates_batched_ = &registry.counter("core", "updates_batched", node);
-  if (old != nullptr) updates_batched_->inc(old->value());
-  batch_fill_ = &registry.histogram("net", "batch_fill", node);
-  // Lazy cells: carry any accumulated value into the new registry, but do
-  // not create cells that never fired.
-  for (auto* slot : {&updates_remapped_, &flush_deferred_, &updates_shed_local_}) {
-    obs::Counter* prev = *slot;
-    *slot = nullptr;
-    if (prev != nullptr && prev->value() > 0) {
-      const char* name = slot == &updates_remapped_   ? "updates_remapped"
-                         : slot == &flush_deferred_   ? "flush_deferred"
-                                                      : "updates_shed_local";
-      lazy_counter(*slot, name)->inc(prev->value());
-    }
-  }
-}
-
-obs::Counter* UpdateBatcher::lazy_counter(obs::Counter*& slot, const char* name) {
-  if (slot == nullptr && registry_ != nullptr) {
-    // concord-proto: cell counter core/updates_remapped core/flush_deferred core/updates_shed_local
-    slot = &registry_->counter("core", name, metrics_node_);
-  }
-  return slot;
-}
+UpdateBatcher::UpdateBatcher(NodeId self, net::Fabric& fabric, BatchPolicy policy,
+                             const dht::Placement* placement)
+    : self_(self),
+      fabric_(fabric),
+      policy_(policy),
+      placement_(placement),
+      routed_generation_(placement != nullptr ? placement->generation() : 0),
+      updates_batched_(fabric.metrics().counter("core", "updates_batched", label())),
+      batch_fill_(fabric.metrics().histogram("net", "batch_fill", label())) {}
 
 void UpdateBatcher::set_flow_control(bool enabled, std::uint64_t initial_credits) {
   flow_control_ = enabled;
@@ -84,8 +65,10 @@ void UpdateBatcher::add(NodeId dst, const dht::UpdateRecord& rec) {
   if (flow_control_ && buf.size() >= pending_cap()) {
     // Bounded buffer: under sustained pressure the newest records are shed
     // here rather than growing an unbounded queue the owner cannot absorb.
-    obs::Counter* c = lazy_counter(updates_shed_local_, "updates_shed_local");
-    if (c != nullptr) c->inc();
+    if (updates_shed_local_ == nullptr) {
+      updates_shed_local_ = &fabric_.metrics().counter("core", "updates_shed_local", label());
+    }
+    updates_shed_local_->inc();
     return;
   }
   buf.push_back(rec);
@@ -129,8 +112,10 @@ void UpdateBatcher::remap_pending() {
     buf.resize(kept);
   }
   if (moved.empty()) return;
-  obs::Counter* c = lazy_counter(updates_remapped_, "updates_remapped");
-  if (c != nullptr) c->inc(moved.size());
+  if (updates_remapped_ == nullptr) {
+    updates_remapped_ = &fabric_.metrics().counter("core", "updates_remapped", label());
+  }
+  updates_remapped_->inc(moved.size());
   for (auto& [owner, rec] : moved) buffer_for(owner).push_back(rec);
 }
 
@@ -177,8 +162,8 @@ void UpdateBatcher::ship(NodeId dst, std::vector<dht::UpdateRecord>& records,
     if (quota != nullptr && *quota == 0) break;  // flush quota exhausted
     if (!consume_credit()) break;                // owner has granted no room
     const std::size_t n = std::min(cap, records.size() - off);
-    if (updates_batched_ != nullptr) updates_batched_->inc(n);
-    if (batch_fill_ != nullptr) batch_fill_->record(n);
+    updates_batched_.inc(n);
+    batch_fill_.record(n);
     net::Message msg = net::make_message(
         self_, dst, net::MsgType::kDhtUpdateBatch,
         DhtUpdateBatchMsg(records.begin() + static_cast<std::ptrdiff_t>(off),
@@ -193,8 +178,10 @@ void UpdateBatcher::ship(NodeId dst, std::vector<dht::UpdateRecord>& records,
     off += n;
   }
   if (off < records.size()) {
-    obs::Counter* c = lazy_counter(flush_deferred_, "flush_deferred");
-    if (c != nullptr) c->inc();
+    if (flush_deferred_ == nullptr) {
+      flush_deferred_ = &fabric_.metrics().counter("core", "flush_deferred", label());
+    }
+    flush_deferred_->inc();
   }
   records.erase(records.begin(), records.begin() + static_cast<std::ptrdiff_t>(off));
   if (records.empty()) pending_trace_.erase(dst);

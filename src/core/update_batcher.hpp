@@ -91,19 +91,12 @@ class UpdateBatcher {
  public:
   /// `placement`, when given, enables the flush-time remap: records buffered
   /// for a dead owner re-route to the epoch-aware successor instead of
-  /// relying on DhtAudit to heal the loss.
+  /// relying on DhtAudit to heal the loss. Accounting lands in the fabric's
+  /// registry, labeled with `self`: core.updates_batched (records shipped
+  /// inside batch datagrams) and net.batch_fill (log2 histogram of records
+  /// per flushed datagram).
   UpdateBatcher(NodeId self, net::Fabric& fabric, BatchPolicy policy,
-                const dht::Placement* placement = nullptr)
-      : self_(self),
-        fabric_(fabric),
-        policy_(policy),
-        placement_(placement),
-        routed_generation_(placement != nullptr ? placement->generation() : 0) {}
-
-  /// Routes the batcher's accounting into `registry`: core.updates_batched
-  /// (records shipped inside batch datagrams, labeled per node) and
-  /// net.batch_fill (log2 histogram of records per flushed datagram).
-  void bind_metrics(obs::Registry& registry, std::int32_t node);
+                const dht::Placement* placement = nullptr);
 
   /// Buffers one record for `dst`, flushing that destination when its buffer
   /// reaches the policy's per-datagram record budget. `dst` must be where
@@ -171,7 +164,9 @@ class UpdateBatcher {
   std::vector<dht::UpdateRecord>& buffer_for(NodeId dst);
   [[nodiscard]] bool consume_credit();
   [[nodiscard]] std::size_t pending_cap() const noexcept;
-  obs::Counter* lazy_counter(obs::Counter*& slot, const char* name);
+  [[nodiscard]] std::int32_t label() const noexcept {
+    return static_cast<std::int32_t>(raw(self_));
+  }
 
   NodeId self_;
   net::Fabric& fabric_;
@@ -196,12 +191,10 @@ class UpdateBatcher {
   bool flow_control_ = false;
   std::uint64_t credits_ = 0;
   std::uint64_t flush_quota_ = 0;  // datagrams per flush_all; 0 = unlimited
-  obs::Registry* registry_ = nullptr;
-  std::int32_t metrics_node_ = obs::Registry::kSiteWide;
-  obs::Counter* updates_batched_ = nullptr;
-  obs::Histogram* batch_fill_ = nullptr;
-  // Lazy cells: created on first event so unpressured runs keep their
-  // metrics snapshots byte-identical.
+  obs::Counter& updates_batched_;
+  obs::Histogram& batch_fill_;
+  // Lazy cells: created on first event, so a run without that event has no
+  // such cell in its snapshot.
   obs::Counter* updates_remapped_ = nullptr;
   obs::Counter* flush_deferred_ = nullptr;
   obs::Counter* updates_shed_local_ = nullptr;

@@ -35,7 +35,8 @@ std::uint64_t pack_ids(std::uint32_t a, std::uint32_t b) noexcept {
 
 }  // namespace
 
-DhtStore::DhtStore(std::uint32_t max_entities, AllocMode mode)
+DhtStore::DhtStore(std::uint32_t max_entities, AllocMode mode, obs::Registry* registry,
+                   std::int32_t node)
     : max_entities_(max_entities),
       words_per_entry_((max_entities + 63) / 64),
       mode_(mode),
@@ -46,109 +47,22 @@ DhtStore::DhtStore(std::uint32_t max_entities, AllocMode mode)
   if (mode_ == AllocMode::kPool) {
     pool_ = std::make_unique<PoolAllocatorBase>(words_per_entry_ * sizeof(std::uint64_t));
   }
-  own_metrics_ = std::make_unique<obs::Registry>();
-  metrics_ = own_metrics_.get();
-  cells_ = resolve_cells(obs::Registry::kSiteWide);
+  obs::Registry& r = obs::given_or_owned(registry, owned_metrics_);
+  cells_ = Cells{&r.counter("dht", "inserts", node),       &r.counter("dht", "inserts_new", node),
+                 &r.counter("dht", "removes", node),       &r.counter("dht", "removes_stale", node),
+                 &r.gauge("dht", "unique_hashes", node),   &r.gauge("dht", "memory_bytes", node),
+                 &r.gauge("dht", "bytes_per_entry", node), &r.gauge("dht", "load_factor_pct", node)};
+  update_occupancy();
 }
 
 DhtStore::~DhtStore() { clear(); }
-
-DhtStore::Cells DhtStore::resolve_cells(std::int32_t node) {
-  obs::Registry& r = *metrics_;
-  return Cells{&r.counter("dht", "inserts", node),       &r.counter("dht", "inserts_new", node),
-               &r.counter("dht", "removes", node),       &r.counter("dht", "removes_stale", node),
-               &r.gauge("dht", "unique_hashes", node),   &r.gauge("dht", "memory_bytes", node),
-               &r.gauge("dht", "bytes_per_entry", node), &r.gauge("dht", "load_factor_pct", node)};
-}
-
-void DhtStore::bind_metrics(obs::Registry& registry, std::int32_t node) {
-  const Cells old = cells_;
-  metrics_ = &registry;
-  node_ = node;
-  cells_ = resolve_cells(node);
-  cells_.inserts->inc(old.inserts->value());
-  cells_.inserts_new->inc(old.inserts_new->value());
-  cells_.removes->inc(old.removes->value());
-  cells_.removes_stale->inc(old.removes_stale->value());
-  own_metrics_.reset();
-  update_occupancy();
-}
 
 void DhtStore::update_occupancy() noexcept {
   const std::size_t bytes = memory_bytes();
   cells_.unique_hashes->set(static_cast<std::int64_t>(size_));
   cells_.memory_bytes->set(static_cast<std::int64_t>(bytes));
   cells_.bytes_per_entry->set(size_ > 0 ? static_cast<std::int64_t>(bytes / size_) : 0);
-  cells_.load_factor_pct->set(
-      ctrl_.empty() ? 0 : static_cast<std::int64_t>(size_ * 100 / ctrl_.size()));
-}
-
-void DhtStore::steal_storage(DhtStore&& o) noexcept {
-  hashes_ = std::move(o.hashes_);
-  ctrl_ = std::move(o.ctrl_);
-  sets_ = std::move(o.sets_);
-  size_ = o.size_;
-  tombstones_ = o.tombstones_;
-  pool_ = std::move(o.pool_);
-  malloc_bytes_ = o.malloc_bytes_;
-  scratch_ = std::move(o.scratch_);
-  o.hashes_.clear();
-  o.ctrl_.clear();
-  o.sets_.clear();
-  o.size_ = 0;
-  o.tombstones_ = 0;
-  o.malloc_bytes_ = 0;
-}
-
-DhtStore::DhtStore(DhtStore&& o) noexcept
-    : max_entities_(o.max_entities_),
-      words_per_entry_(o.words_per_entry_),
-      mode_(o.mode_) {
-  steal_storage(std::move(o));
-  metrics_ = o.metrics_;
-  own_metrics_ = std::move(o.own_metrics_);
-  node_ = o.node_;
-  cells_ = o.cells_;
-  o.metrics_ = nullptr;
-  o.cells_ = Cells{};
-}
-
-DhtStore& DhtStore::operator=(DhtStore&& o) noexcept {
-  if (this == &o) return *this;
-  const bool dest_bound = own_metrics_ == nullptr && metrics_ != nullptr;
-  obs::Registry* dest_registry = metrics_;
-  const std::int32_t dest_node = node_;
-  const Cells dest_cells = cells_;
-  clear();  // frees this store's spills before its allocator handle goes away
-  max_entities_ = o.max_entities_;
-  words_per_entry_ = o.words_per_entry_;
-  mode_ = o.mode_;
-  steal_storage(std::move(o));
-  if (dest_bound) {
-    // The registry binding belongs to the destination's role — its node
-    // label in the shared registry — not to the data. Keep accounting where
-    // this store always accounted and fold the source's counts in, exactly
-    // like bind_metrics does when a pre-loaded store is first bound.
-    metrics_ = dest_registry;
-    node_ = dest_node;
-    cells_ = dest_cells;
-    if (o.cells_.inserts != nullptr && o.cells_.inserts != cells_.inserts) {
-      cells_.inserts->inc(o.cells_.inserts->value());
-      cells_.inserts_new->inc(o.cells_.inserts_new->value());
-      cells_.removes->inc(o.cells_.removes->value());
-      cells_.removes_stale->inc(o.cells_.removes_stale->value());
-    }
-    update_occupancy();
-  } else {
-    metrics_ = o.metrics_;
-    own_metrics_ = std::move(o.own_metrics_);
-    node_ = o.node_;
-    cells_ = o.cells_;
-  }
-  o.metrics_ = nullptr;
-  o.own_metrics_.reset();
-  o.cells_ = Cells{};
-  return *this;
+  cells_.load_factor_pct->set(static_cast<std::int64_t>(size_ * 100 / ctrl_.size()));
 }
 
 std::uint64_t* DhtStore::allocate_spill() {
@@ -471,7 +385,6 @@ std::size_t DhtStore::memory_bytes() const noexcept {
 }
 
 void DhtStore::clear() {
-  if (ctrl_.empty()) return;  // moved-from
   for (std::size_t i = 0; i < ctrl_.size(); ++i) {
     if (ctrl_[i] == kSpilled) free_spill(spill_of(i));
   }

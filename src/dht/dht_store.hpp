@@ -63,23 +63,19 @@ class DhtStore {
  public:
   /// @param max_entities  site-wide entity universe (fixes the width of
   ///                      spilled bitmaps)
-  explicit DhtStore(std::uint32_t max_entities, AllocMode mode = AllocMode::kPool);
+  /// @param registry      where this shard accounts (subsystem "dht",
+  ///                      labeled with `node`): insert/remove counters,
+  ///                      stale-hit counters, and occupancy gauges. Null
+  ///                      means a private registry.
+  explicit DhtStore(std::uint32_t max_entities, AllocMode mode = AllocMode::kPool,
+                    obs::Registry* registry = nullptr,
+                    std::int32_t node = obs::Registry::kSiteWide);
   ~DhtStore();
 
   DhtStore(const DhtStore&) = delete;
   DhtStore& operator=(const DhtStore&) = delete;
-  DhtStore(DhtStore&&) noexcept;
-  /// Keeps the *destination's* registry binding: a store that was bound to a
-  /// cluster registry under some node label stays bound there, and the moved
-  /// store's accumulated counts fold into those cells (mirroring
-  /// bind_metrics). An unbound destination adopts the source's binding.
-  DhtStore& operator=(DhtStore&&) noexcept;
-
-  /// Routes this shard's accounting into `registry` (subsystem "dht",
-  /// labeled with `node`): insert/remove counters, stale-hit counters, and
-  /// occupancy gauges. Counts accumulated before binding carry over. The
-  /// store accounts into a private registry until bound.
-  void bind_metrics(obs::Registry& registry, std::int32_t node);
+  DhtStore(DhtStore&&) = delete;
+  DhtStore& operator=(DhtStore&&) = delete;
 
   /// Records that `entity` holds content `h`. Returns true if this created
   /// a new hash entry (first copy site-wide on this shard).
@@ -181,9 +177,7 @@ class DhtStore {
   void maybe_shrink();
   [[nodiscard]] static std::size_t capacity_for(std::size_t entries) noexcept;
 
-  Cells resolve_cells(std::int32_t node);
   void update_occupancy() noexcept;
-  void steal_storage(DhtStore&& o) noexcept;
 
   std::uint32_t max_entities_;
   std::size_t words_per_entry_;
@@ -197,9 +191,7 @@ class DhtStore {
   std::size_t malloc_bytes_ = 0;             // kMalloc spill accounting
   mutable std::vector<std::uint64_t> scratch_;  // inline-set materialization
   std::vector<std::pair<std::size_t, std::uint32_t>> batch_order_;  // apply_batch sort
-  obs::Registry* metrics_ = nullptr;            // bound registry, if any
-  std::unique_ptr<obs::Registry> own_metrics_;  // fallback when unbound
-  std::int32_t node_ = obs::Registry::kSiteWide;
+  std::unique_ptr<obs::Registry> owned_metrics_;  // standalone stores only
   Cells cells_;
 };
 

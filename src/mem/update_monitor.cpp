@@ -16,6 +16,20 @@ constexpr std::size_t kParallelMinBlocks = 64;
 constexpr std::size_t kMaxAutoWorkers = 8;
 }  // namespace
 
+MemoryUpdateMonitor::MemoryUpdateMonitor(hash::BlockHasher hasher, DetectMode mode,
+                                         obs::Registry* registry, std::int32_t node)
+    : hasher_(hasher), mode_(mode) {
+  obs::Registry& r = obs::given_or_owned(registry, owned_metrics_);
+  cells_ = Cells{&r.counter("mem", "blocks_examined", node),
+                 &r.counter("mem", "blocks_hashed", node),
+                 &r.counter("mem", "bytes_hashed", node),
+                 &r.counter("mem", "inserts_emitted", node),
+                 &r.counter("mem", "removes_emitted", node),
+                 &r.counter("mem", "throttled_blocks", node),
+                 &r.counter("mem", "scans", node),
+                 &r.histogram("mem", "dirty_ratio_pct", node)};
+}
+
 void MemoryUpdateMonitor::attach(MemoryEntity& entity) {
   Tracked t;
   t.entity = &entity;
@@ -37,32 +51,6 @@ void MemoryUpdateMonitor::detach(EntityId id) {
     }
   }
   tracked_.erase(it);
-}
-
-MemoryUpdateMonitor::Cells MemoryUpdateMonitor::resolve_cells(std::int32_t node) {
-  obs::Registry& r = *metrics_;
-  return Cells{&r.counter("mem", "blocks_examined", node),
-               &r.counter("mem", "blocks_hashed", node),
-               &r.counter("mem", "bytes_hashed", node),
-               &r.counter("mem", "inserts_emitted", node),
-               &r.counter("mem", "removes_emitted", node),
-               &r.counter("mem", "throttled_blocks", node),
-               &r.counter("mem", "scans", node),
-               &r.histogram("mem", "dirty_ratio_pct", node)};
-}
-
-void MemoryUpdateMonitor::bind_metrics(obs::Registry& registry, std::int32_t node) {
-  const Cells old = cells_;
-  metrics_ = &registry;
-  cells_ = resolve_cells(node);
-  cells_.blocks_examined->inc(old.blocks_examined->value());
-  cells_.blocks_hashed->inc(old.blocks_hashed->value());
-  cells_.bytes_hashed->inc(old.bytes_hashed->value());
-  cells_.inserts_emitted->inc(old.inserts_emitted->value());
-  cells_.removes_emitted->inc(old.removes_emitted->value());
-  cells_.throttled_blocks->inc(old.throttled_blocks->value());
-  cells_.scans->inc(old.scans->value());
-  own_metrics_.reset();
 }
 
 ScanStats MemoryUpdateMonitor::snapshot() const {
@@ -124,7 +112,7 @@ ScanStats MemoryUpdateMonitor::scan(const EmitFn& emit) {
       };
       if (workers > 1 && idx.size() >= kParallelMinBlocks) {
         if (pool_ == nullptr || pool_->workers() != workers) {
-          pool_ = std::make_unique<HashPool>(workers);
+          pool_ = std::make_unique<sim::WorkerPool>(workers);
         }
         pool_->run(idx.size(), hash_range);
       } else {

@@ -27,10 +27,10 @@
 
 #include "common/types.hpp"
 #include "hash/block_hasher.hpp"
-#include "mem/hash_pool.hpp"
 #include "mem/local_block_map.hpp"
 #include "mem/memory_entity.hpp"
 #include "obs/metrics.hpp"
+#include "sim/worker_pool.hpp"
 
 namespace concord::mem {
 
@@ -60,22 +60,16 @@ class MemoryUpdateMonitor {
  public:
   using EmitFn = std::function<void(const ContentUpdate&)>;
 
+  /// Scan accounting lands in `registry` (subsystem "mem", labeled with
+  /// `node`): block/byte/update counters plus a per-scan dirty-ratio
+  /// histogram. Null means a private registry.
   explicit MemoryUpdateMonitor(hash::BlockHasher hasher = hash::BlockHasher{},
-                               DetectMode mode = DetectMode::kFullScan)
-      : hasher_(hasher), mode_(mode) {
-    own_metrics_ = std::make_unique<obs::Registry>();
-    metrics_ = own_metrics_.get();
-    cells_ = resolve_cells(obs::Registry::kSiteWide);
-  }
+                               DetectMode mode = DetectMode::kFullScan,
+                               obs::Registry* registry = nullptr,
+                               std::int32_t node = obs::Registry::kSiteWide);
 
   void attach(MemoryEntity& entity);
   void detach(EntityId id);
-
-  /// Routes scan accounting into `registry` (subsystem "mem", labeled with
-  /// `node`): block/byte/update counters plus a per-scan dirty-ratio
-  /// histogram. Counts accumulated before binding carry over; the monitor
-  /// accounts into a private registry until bound.
-  void bind_metrics(obs::Registry& registry, std::int32_t node);
 
   /// 0 = unthrottled. Otherwise at most this many (insert+remove) updates
   /// are emitted per scan; remaining dirty blocks carry over.
@@ -159,7 +153,6 @@ class MemoryUpdateMonitor {
     return t.entity->dirty().test(b) || t.pending.test(b) || !t.ever_scanned[b];
   }
 
-  Cells resolve_cells(std::int32_t node);
   [[nodiscard]] ScanStats snapshot() const;
   [[nodiscard]] std::size_t resolved_workers() const noexcept;
 
@@ -167,11 +160,10 @@ class MemoryUpdateMonitor {
   DetectMode mode_;
   std::uint64_t update_budget_ = 0;
   std::size_t hash_workers_ = 1;
-  std::unique_ptr<HashPool> pool_;  // live only while parallel scans run
+  std::unique_ptr<sim::WorkerPool> pool_;  // live only while parallel scans run
   std::unordered_map<EntityId, Tracked> tracked_;
   LocalBlockMap block_map_;
-  obs::Registry* metrics_ = nullptr;            // bound registry, if any
-  std::unique_ptr<obs::Registry> own_metrics_;  // fallback when unbound
+  std::unique_ptr<obs::Registry> owned_metrics_;  // standalone monitors only
   Cells cells_;
 };
 

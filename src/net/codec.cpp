@@ -2,6 +2,8 @@
 // hash-map iteration order.
 #include "net/codec.hpp"
 
+#include <cassert>
+
 #include "common/fnv.hpp"
 
 namespace concord::net::codec {
@@ -69,10 +71,8 @@ void put_header(std::vector<std::byte>& out, WireType type, std::uint32_t body_l
                 const TraceContext* trace, bool checksummed) {
   const bool traced = trace != nullptr && trace->valid();
   put_u32(out, kMagic);
-  std::uint8_t version = kVersion;
-  if (traced) version = checksummed ? kVersionTracedChecksummed : kVersionTraced;
-  else if (checksummed) version = kVersionChecksummed;
-  put_u8(out, version);
+  put_u8(out, static_cast<std::uint8_t>(kVersion | (traced ? kFlagTraced : 0) |
+                                        (checksummed ? kFlagChecksummed : 0)));
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u32(out, body_len);
   if (traced) {
@@ -114,20 +114,24 @@ void seal(std::vector<std::byte>& out, std::size_t start, const TraceContext* tr
   return stored == sum;
 }
 
+/// A validated datagram: its header and a reader positioned at the body.
+struct Body {
+  WireHeader header;
+  Reader reader;
+};
+
 /// Validates the header — including the checksum, when present — and returns
-/// a reader positioned at the body (past the trace context and checksum).
-[[nodiscard]] Result<Reader> open_body(std::span<const std::byte> datagram, WireType expect_a,
-                         WireType expect_b) {
+/// it with a reader positioned at the body (past the trace context and
+/// checksum).
+[[nodiscard]] Result<Body> open_body(std::span<const std::byte> datagram, WireType expect_a,
+                                     WireType expect_b) {
   const Result<WireHeader> h = decode_header(datagram);
   if (!h.has_value()) return h.status();
-  if (h.value().type != expect_a && h.value().type != expect_b) {
-    return Status::kInvalidArgument;
-  }
-  if (h.value().checksummed && !checksum_ok(datagram, h.value().traced)) {
-    return Status::kInvalidArgument;
-  }
-  return Reader(datagram.subspan(kHeaderLen + (h.value().traced ? kTraceCtxBytes : 0) +
-                                 (h.value().checksummed ? kChecksumBytes : 0)));
+  const WireHeader& hdr = h.value();
+  if (hdr.type != expect_a && hdr.type != expect_b) return Status::kInvalidArgument;
+  if (hdr.checksummed && !checksum_ok(datagram, hdr.traced)) return Status::kInvalidArgument;
+  return Body{hdr, Reader(datagram.subspan(kHeaderLen + (hdr.traced ? kTraceCtxBytes : 0) +
+                                           (hdr.checksummed ? kChecksumBytes : 0)))};
 }
 
 }  // namespace
@@ -145,6 +149,7 @@ void encode(const DhtUpdate& msg, std::vector<std::byte>& out, const TraceContex
 
 void encode(const DhtUpdateBatch& msg, std::vector<std::byte>& out,
             const TraceContext* trace, bool checksummed) {
+  assert(msg.records.size() <= kMaxDhtBatchRecords);
   const std::size_t start = out.size();
   const auto count = static_cast<std::uint16_t>(msg.records.size());
   put_header(out, WireType::kDhtUpdateBatch,
@@ -192,12 +197,11 @@ Result<WireHeader> decode_header(std::span<const std::byte> datagram) {
     return Status::kInvalidArgument;
   }
   if (magic != kMagic) return Status::kInvalidArgument;
-  if (version < kVersion || version > kVersionTracedChecksummed) {
-    return Status::kInvalidArgument;
+  if ((version & ~(kFlagTraced | kFlagChecksummed)) != kVersion) {
+    return Status::kInvalidArgument;  // base version missing or an unknown bit set
   }
-  const bool traced = version == kVersionTraced || version == kVersionTracedChecksummed;
-  const bool checksummed =
-      version == kVersionChecksummed || version == kVersionTracedChecksummed;
+  const bool traced = (version & kFlagTraced) != 0;
+  const bool checksummed = (version & kFlagChecksummed) != 0;
   if (type < 1 || type > kMaxWireType) return Status::kInvalidArgument;
   if (datagram.size() != kHeaderLen + (traced ? kTraceCtxBytes : 0) +
                              (checksummed ? kChecksumBytes : 0) + body_len) {
@@ -249,11 +253,11 @@ void encode(const CollectiveReply& msg, std::vector<std::byte>& out,
 }
 
 Result<CollectiveQuery> decode_collective_query(std::span<const std::byte> datagram) {
-  Result<Reader> body =
+  Result<Body> body =
       open_body(datagram, WireType::kCollectiveQuery, WireType::kCollectiveQuery);
   if (!body.has_value()) return body.status();
   CollectiveQuery msg;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   std::uint8_t collect = 0;
   std::uint32_t words = 0;
   if (!r.u64(msg.req_id) || !r.u64(msg.k) || !r.u8(collect) || !r.u32(words)) {
@@ -273,11 +277,11 @@ Result<CollectiveQuery> decode_collective_query(std::span<const std::byte> datag
 }
 
 Result<CollectiveReply> decode_collective_reply(std::span<const std::byte> datagram) {
-  Result<Reader> body =
+  Result<Body> body =
       open_body(datagram, WireType::kCollectiveReply, WireType::kCollectiveReply);
   if (!body.has_value()) return body.status();
   CollectiveReply msg;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   std::uint32_t count = 0;
   if (!r.u64(msg.req_id) || !r.u64(msg.total) || !r.u64(msg.unique) || !r.u64(msg.intra) ||
       !r.u64(msg.inter) || !r.u64(msg.k_count) || !r.u32(count)) {
@@ -296,6 +300,7 @@ Result<CollectiveReply> decode_collective_reply(std::span<const std::byte> datag
 
 void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
             const TraceContext* trace, bool checksummed) {
+  assert(msg.records.size() <= kMaxDhtBatchRecords);
   const std::size_t start = out.size();
   const auto count = static_cast<std::uint16_t>(msg.records.size());
   put_header(out, WireType::kReplicaSync,
@@ -316,11 +321,11 @@ void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
 }
 
 Result<ReplicaSync> decode_replica_sync(std::span<const std::byte> datagram) {
-  Result<Reader> body =
+  Result<Body> body =
       open_body(datagram, WireType::kReplicaSync, WireType::kReplicaSync);
   if (!body.has_value()) return body.status();
   ReplicaSync msg;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   std::uint8_t last = 0;
   std::uint16_t count = 0;
   if (!r.u32(msg.home) || !r.u64(msg.epoch) || !r.u8(last) || !r.u16(count)) {
@@ -347,13 +352,12 @@ Result<ReplicaSync> decode_replica_sync(std::span<const std::byte> datagram) {
 }
 
 Result<DhtUpdate> decode_dht_update(std::span<const std::byte> datagram) {
-  Result<Reader> body = open_body(datagram, WireType::kDhtInsert, WireType::kDhtRemove);
+  Result<Body> body = open_body(datagram, WireType::kDhtInsert, WireType::kDhtRemove);
   if (!body.has_value()) return body.status();
-  const Result<WireHeader> h = decode_header(datagram);
   DhtUpdate msg;
-  msg.insert = h.value().type == WireType::kDhtInsert;
+  msg.insert = body.value().header.type == WireType::kDhtInsert;
   std::uint32_t entity = 0;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   if (!r.u64(msg.hash.hi) || !r.u64(msg.hash.lo) || !r.u32(entity) || !r.done()) {
     return Status::kInvalidArgument;
   }
@@ -362,11 +366,11 @@ Result<DhtUpdate> decode_dht_update(std::span<const std::byte> datagram) {
 }
 
 Result<DhtUpdateBatch> decode_dht_update_batch(std::span<const std::byte> datagram) {
-  Result<Reader> body =
+  Result<Body> body =
       open_body(datagram, WireType::kDhtUpdateBatch, WireType::kDhtUpdateBatch);
   if (!body.has_value()) return body.status();
   DhtUpdateBatch msg;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   std::uint16_t count = 0;
   if (!r.u16(count)) return Status::kInvalidArgument;
   if (count > kMaxDhtBatchRecords) return Status::kInvalidArgument;
@@ -388,13 +392,12 @@ Result<DhtUpdateBatch> decode_dht_update_batch(std::span<const std::byte> datagr
 }
 
 Result<Query> decode_query(std::span<const std::byte> datagram) {
-  Result<Reader> body =
+  Result<Body> body =
       open_body(datagram, WireType::kNumCopiesQuery, WireType::kEntitiesQuery);
   if (!body.has_value()) return body.status();
-  const Result<WireHeader> h = decode_header(datagram);
   Query msg;
-  msg.want_entities = h.value().type == WireType::kEntitiesQuery;
-  Reader& r = body.value();
+  msg.want_entities = body.value().header.type == WireType::kEntitiesQuery;
+  Reader& r = body.value().reader;
   if (!r.u64(msg.req_id) || !r.u64(msg.hash.hi) || !r.u64(msg.hash.lo) || !r.done()) {
     return Status::kInvalidArgument;
   }
@@ -402,10 +405,10 @@ Result<Query> decode_query(std::span<const std::byte> datagram) {
 }
 
 Result<QueryReply> decode_query_reply(std::span<const std::byte> datagram) {
-  Result<Reader> body = open_body(datagram, WireType::kQueryReply, WireType::kQueryReply);
+  Result<Body> body = open_body(datagram, WireType::kQueryReply, WireType::kQueryReply);
   if (!body.has_value()) return body.status();
   QueryReply msg;
-  Reader& r = body.value();
+  Reader& r = body.value().reader;
   std::uint32_t count = 0;
   if (!r.u64(msg.req_id) || !r.u32(msg.num_copies) || !r.u32(count)) {
     return Status::kInvalidArgument;

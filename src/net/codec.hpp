@@ -4,7 +4,8 @@
 // models only the wire *size*. For genuine deployment — the paper's system
 // runs everything over UDP (§3.4) — messages need a byte layout. This codec
 // defines it: a fixed little-endian header (magic, version, type, body
-// length) followed by a per-type body. It is deliberately explicit (no
+// length), the optional trace context and checksum its version byte's flag
+// bits announce, then a per-type body. It is deliberately explicit (no
 // struct dumping) so the format is stable across compilers and
 // architectures, and every decoder rejects malformed input instead of
 // trusting the network.
@@ -28,23 +29,18 @@
 namespace concord::net::codec {
 
 inline constexpr std::uint32_t kMagic = 0x434e4344;  // "CNCD"
+/// The version byte is kVersion with the flag bits below OR-ed in, so a
+/// datagram with neither leg is 0x01. Decoders reject any other bit.
 inline constexpr std::uint8_t kVersion = 1;
-/// Version byte of a datagram carrying a causal trace context: the 16-byte
-/// context (u64 root, u64 parent) sits between the fixed header and the
-/// body, which is otherwise laid out exactly as in version 1. Untraced
-/// datagrams still encode as version 1, so enabling the capability without
-/// tracing changes no byte anywhere.
-inline constexpr std::uint8_t kVersionTraced = 2;
-/// Version bytes of checksummed datagrams: an 8-byte FNV-1a-64 checksum over
-/// the whole datagram (computed with the checksum field itself zeroed) sits
-/// after the fixed header — and after the trace context, when present —
-/// directly before the body, which is laid out exactly as in version 1.
-/// Like tracing, the leg is opt-in per datagram: encoders emit it only when
-/// asked, so unchecksummed traffic stays byte-identical to the pre-checksum
-/// format, and decoders verify it before handing out a body reader, so a
-/// corrupted datagram is rejected at the header instead of half-decoded.
-inline constexpr std::uint8_t kVersionChecksummed = 3;
-inline constexpr std::uint8_t kVersionTracedChecksummed = 4;
+/// Flag bit: a 16-byte causal trace context (u64 root, u64 parent) sits
+/// between the fixed header and the body.
+inline constexpr std::uint8_t kFlagTraced = 1u << 1;
+/// Flag bit: an 8-byte FNV-1a-64 checksum over the whole datagram (computed
+/// with the checksum field itself zeroed) sits after the fixed header — and
+/// after the trace context, when present — directly before the body.
+/// Decoders verify it before handing out a body reader, so a corrupted
+/// datagram is rejected at the header instead of half-decoded.
+inline constexpr std::uint8_t kFlagChecksummed = 1u << 2;
 
 enum class WireType : std::uint8_t {
   kDhtInsert = 1,
@@ -66,7 +62,7 @@ struct WireHeader {
   bool checksummed = false;  // verified FNV-1a-64 checksum precedes the body
 };
 inline constexpr std::size_t kHeaderLen = 4 + 1 + 1 + 4;  // magic, ver, type, len
-/// Size of the optional checksum field (versions 3 and 4).
+/// Size of the optional checksum field (kFlagChecksummed).
 inline constexpr std::size_t kChecksumBytes = 8;
 
 struct DhtUpdate {
@@ -90,7 +86,8 @@ struct DhtUpdateBatch {
 inline constexpr std::size_t kDhtUpdateRecordBytes = 1 + 16 + 4;
 /// Fixed batch body overhead (the u16 record count).
 inline constexpr std::size_t kDhtUpdateBatchCountBytes = 2;
-/// Decode-side sanity bound; 4096 records already exceeds any UDP datagram.
+/// Bound on a batch's record count, checked by decoders and asserted by
+/// encoders; 4096 records already exceeds any UDP datagram.
 inline constexpr std::size_t kMaxDhtBatchRecords = 4096;
 
 /// One chunk of a replica re-sync stream: a donor replica replaying a dirty
@@ -136,13 +133,10 @@ struct CollectiveReply {
   std::vector<ContentHash> k_hashes;
 };
 
-// --- encoders: append header+body to `out` and return the datagram span
-// boundaries (the datagram is out's new suffix). Passing a valid `trace`
-// emits the traced layout; nullptr (or an invalid context) emits bytes
-// identical to the pre-tracing format. Passing `checksummed = true` emits the
-// version-3/4 layout with a verified FNV-1a-64 checksum between header (and
-// trace context, when present) and body; the default emits no checksum, so
-// existing call sites produce byte-identical datagrams.
+// --- encoders: append one datagram (header, then body) to `out`. A valid
+// `trace` sets kFlagTraced and emits the context; nullptr or an invalid
+// context emits none. `checksummed = true` sets kFlagChecksummed and emits
+// the checksum between header (and trace context, when present) and body.
 
 void encode(const DhtUpdate& msg, std::vector<std::byte>& out,
             const TraceContext* trace = nullptr, bool checksummed = false);
@@ -162,8 +156,8 @@ void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
 // --- decoding: header first, then the matching body.
 
 [[nodiscard]] Result<WireHeader> decode_header(std::span<const std::byte> datagram);
-/// The trace context of a traced (version-2) datagram. kNotFound for a
-/// well-formed version-1 datagram; kInvalidArgument for malformed input.
+/// The trace context of a traced datagram. kNotFound for a well-formed
+/// untraced datagram; kInvalidArgument for malformed input.
 [[nodiscard]] Result<TraceContext> decode_trace_context(
     std::span<const std::byte> datagram);
 [[nodiscard]] Result<DhtUpdate> decode_dht_update(std::span<const std::byte> datagram);

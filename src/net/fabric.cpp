@@ -8,69 +8,48 @@
 
 namespace concord::net {
 
-Fabric::NodeCells Fabric::resolve_node_cells(NodeId node) {
-  obs::Registry& r = metrics();
-  const auto n = static_cast<std::int32_t>(raw(node));
-  return NodeCells{&r.counter("net", "msgs_sent", n),     &r.counter("net", "bytes_sent", n),
-                   &r.counter("net", "msgs_received", n), &r.counter("net", "bytes_received", n),
-                   &r.counter("net", "msgs_dropped", n),  &r.counter("net", "retransmits", n),
-                   &r.counter("net", "msgs_blackholed", n)};
+Fabric::Fabric(sim::Simulation& simulation, FabricParams params, obs::Registry* registry)
+    : sim_(simulation),
+      params_(params),
+      metrics_(obs::given_or_owned(registry, owned_metrics_)) {}
+
+Fabric::NodeSlot& Fabric::slot(NodeId node) {
+  if (raw(node) >= nodes_.size()) nodes_.resize(raw(node) + 1);
+  return nodes_[raw(node)];
+}
+
+Fabric::NodeSlot& Fabric::traffic_slot(NodeId node) {
+  NodeSlot& s = slot(node);
+  if (s.cells.msgs_sent == nullptr) {
+    const auto n = static_cast<std::int32_t>(raw(node));
+    obs::Registry& r = metrics_;
+    s.cells = NodeCells{&r.counter("net", "msgs_sent", n),     &r.counter("net", "bytes_sent", n),
+                        &r.counter("net", "msgs_received", n), &r.counter("net", "bytes_received", n),
+                        &r.counter("net", "msgs_dropped", n),  &r.counter("net", "retransmits", n),
+                        &r.counter("net", "msgs_blackholed", n)};
+  }
+  return s;
 }
 
 Fabric::TypeCells& Fabric::type_cells(MsgType t) {
   TypeCells& c = type_cells_[static_cast<std::size_t>(t)];
   if (c.msgs == nullptr) {
-    obs::Registry& r = metrics();
     const std::string label(to_string(t));
-    c.msgs = &r.counter("net", "type_msgs." + label);
-    c.bytes = &r.counter("net", "type_bytes." + label);
+    c.msgs = &metrics_.counter("net", "type_msgs." + label);
+    c.bytes = &metrics_.counter("net", "type_bytes." + label);
   }
   return c;
 }
 
-Fabric::NodeCells& Fabric::cells_for(NodeId node) {
-  auto it = traffic_.find(node);
-  if (it == traffic_.end()) it = traffic_.emplace(node, resolve_node_cells(node)).first;
-  return it->second;
-}
-
-obs::Counter& Fabric::shed_cell(NodeId node) {
-  obs::Counter*& c = shed_cells_[node];
-  if (c == nullptr) {
-    c = &metrics().counter("net", "msgs_shed", static_cast<std::int32_t>(raw(node)));
-  }
-  return *c;
-}
-
-obs::Histogram& Fabric::depth_hist(NodeId node) {
-  obs::Histogram*& h = depth_hists_[node];
-  if (h == nullptr) {
-    h = &metrics().histogram("net", "ingress_depth", static_cast<std::int32_t>(raw(node)));
-  }
-  return *h;
-}
-
 obs::Counter& Fabric::shed_type_cell(MsgType t) {
   obs::Counter*& c = shed_type_cells_[static_cast<std::size_t>(t)];
-  if (c == nullptr) {
-    c = &metrics().counter("net", "shed_msgs." + std::string(to_string(t)));
-  }
-  return *c;
-}
-
-obs::Counter& Fabric::corrupt_cell(NodeId node) {
-  obs::Counter*& c = corrupt_cells_[node];
-  if (c == nullptr) {
-    c = &metrics().counter("net", "msgs_corrupt_dropped", static_cast<std::int32_t>(raw(node)));
-  }
+  if (c == nullptr) c = &metrics_.counter("net", "shed_msgs." + std::string(to_string(t)));
   return *c;
 }
 
 obs::Counter& Fabric::corrupt_type_cell(MsgType t) {
   obs::Counter*& c = corrupt_type_cells_[static_cast<std::size_t>(t)];
-  if (c == nullptr) {
-    c = &metrics().counter("net", "corrupt_msgs." + std::string(to_string(t)));
-  }
+  if (c == nullptr) c = &metrics_.counter("net", "corrupt_msgs." + std::string(to_string(t)));
   return *c;
 }
 
@@ -78,88 +57,12 @@ obs::Counter& Fabric::site_counter(const char* name) {
   // Not cached: these sit on cold paths (breaker transitions, in-flight
   // blackholes) where a map lookup in the registry is fine.
   // concord-proto: cell counter net/breaker_trips net/breaker_fastfail net/msgs_blackholed_inflight
-  return metrics().counter("net", name);
-}
-
-obs::Registry& Fabric::metrics() {
-  if (metrics_ != nullptr) return *metrics_;
-  if (!own_metrics_) own_metrics_ = std::make_unique<obs::Registry>();
-  return *own_metrics_;
-}
-
-void Fabric::bind_metrics(obs::Registry& registry) {
-  if (metrics_ == &registry) return;
-  metrics_ = &registry;
-  // Re-resolve every cell into the new registry, carrying accumulated
-  // counts over so a late bind loses nothing.
-  for (auto& [node, cells] : traffic_) {
-    const NodeCells old = cells;
-    cells = resolve_node_cells(node);
-    cells.msgs_sent->inc(old.msgs_sent->value());
-    cells.bytes_sent->inc(old.bytes_sent->value());
-    cells.msgs_received->inc(old.msgs_received->value());
-    cells.bytes_received->inc(old.bytes_received->value());
-    cells.msgs_dropped->inc(old.msgs_dropped->value());
-    cells.retransmits->inc(old.retransmits->value());
-    cells.msgs_blackholed->inc(old.msgs_blackholed->value());
-  }
-  for (std::size_t t = 0; t < type_cells_.size(); ++t) {
-    if (type_cells_[t].msgs == nullptr) continue;
-    const TypeCells old = type_cells_[t];
-    type_cells_[t] = TypeCells{};
-    TypeCells& fresh = type_cells(static_cast<MsgType>(t));
-    fresh.msgs->inc(old.msgs->value());
-    fresh.bytes->inc(old.bytes->value());
-  }
-  // Lazily-created overload cells: carry counters over, re-point histograms
-  // (same policy as the batcher's batch_fill — histograms have no merge).
-  for (auto& [node, cell] : shed_cells_) {
-    obs::Counter* old = cell;
-    cell = &registry.counter("net", "msgs_shed", static_cast<std::int32_t>(raw(node)));
-    cell->inc(old->value());
-  }
-  for (auto& [node, hist] : depth_hists_) {
-    hist = &registry.histogram("net", "ingress_depth", static_cast<std::int32_t>(raw(node)));
-  }
-  for (std::size_t t = 0; t < shed_type_cells_.size(); ++t) {
-    if (shed_type_cells_[t] == nullptr) continue;
-    obs::Counter* old = shed_type_cells_[t];
-    shed_type_cells_[t] = nullptr;
-    shed_type_cell(static_cast<MsgType>(t)).inc(old->value());
-  }
-  for (auto& [node, cell] : corrupt_cells_) {
-    obs::Counter* old = cell;
-    cell = &registry.counter("net", "msgs_corrupt_dropped", static_cast<std::int32_t>(raw(node)));
-    cell->inc(old->value());
-  }
-  for (std::size_t t = 0; t < corrupt_type_cells_.size(); ++t) {
-    if (corrupt_type_cells_[t] == nullptr) continue;
-    obs::Counter* old = corrupt_type_cells_[t];
-    corrupt_type_cells_[t] = nullptr;
-    corrupt_type_cell(static_cast<MsgType>(t)).inc(old->value());
-  }
-  if (own_metrics_) {
-    for (const char* name : {"breaker_trips", "breaker_fastfail", "msgs_blackholed_inflight"}) {
-      const std::uint64_t v = own_metrics_->counter_total("net", name);
-      if (v != 0) registry.counter("net", name).inc(v);
-    }
-  }
-  own_metrics_.reset();
+  return metrics_.counter("net", name);
 }
 
 void Fabric::register_node(NodeId node, Handler handler) {
   assert(handler);
-  handlers_[node] = std::move(handler);
-  traffic_.try_emplace(node, resolve_node_cells(node));
-  next_tx_free_.try_emplace(node, 0);
-}
-
-void Fabric::set_node_reachable(NodeId node, bool up) {
-  if (up) {
-    unreachable_.erase(raw(node));
-  } else {
-    unreachable_.insert(raw(node));
-  }
+  traffic_slot(node).handler = std::move(handler);
 }
 
 void Fabric::set_link_blocked(NodeId src, NodeId dst, bool blocked) {
@@ -207,15 +110,18 @@ bool Fabric::roll_corrupt(NodeId src, NodeId dst) {
 }
 
 void Fabric::count_corrupt_drop(const Message& msg) {
-  corrupt_cell(msg.dst).inc();
+  NodeSlot& s = slot(msg.dst);
+  if (s.corrupt == nullptr) {
+    s.corrupt = &metrics_.counter("net", "msgs_corrupt_dropped",
+                                  static_cast<std::int32_t>(raw(msg.dst)));
+  }
+  s.corrupt->inc();
   corrupt_type_cell(msg.type).inc();
   fr_record(msg.dst, obs::FrEvent::kMsgCorrupt, msg.type, msg.src, msg.wire_size);
 }
 
 std::uint64_t Fabric::corrupt_dropped() const {
-  return metrics_ != nullptr ? metrics_->counter_total("net", "msgs_corrupt_dropped")
-         : own_metrics_     ? own_metrics_->counter_total("net", "msgs_corrupt_dropped")
-                            : 0;
+  return metrics_.counter_total("net", "msgs_corrupt_dropped");
 }
 
 sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool lossy,
@@ -223,18 +129,18 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
   // A down endpoint or a cut link silences the attempt before it ever
   // occupies the NIC: no egress charge, no send accounting, just the
   // blackhole count at the source.
-  if (!node_reachable(src) || !node_reachable(dst) || link_blocked(src, dst)) {
-    cells_for(src).msgs_blackholed->inc();
+  NodeSlot& s = traffic_slot(src);
+  if (!s.reachable || !node_reachable(dst) || link_blocked(src, dst)) {
+    s.cells.msgs_blackholed->inc();
     fr_record(src, obs::FrEvent::kMsgBlackholed, type, dst, wire_size);
     return -1;
   }
-  NodeCells& t = cells_for(src);
-  t.msgs_sent->inc();
-  t.bytes_sent->inc(wire_size);
+  s.cells.msgs_sent->inc();
+  s.cells.bytes_sent->inc(wire_size);
   fr_record(src, obs::FrEvent::kMsgSend, type, dst, wire_size);
 
   // Egress serialization: this datagram occupies the NIC for tx_time.
-  sim::Time& free_at = next_tx_free_[src];
+  sim::Time& free_at = s.next_tx_free;
   const sim::Time start = std::max(sim_.now(), free_at);
   const auto tx_time =
       static_cast<sim::Time>(static_cast<double>(wire_size) * params_.ns_per_byte);
@@ -243,10 +149,12 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
   if (lossy) {
     // Per-link loss (independent of the global rate) stacks multiplicatively.
     double p = params_.loss_rate;
-    const auto it = lossy_links_.find(link_key(src, dst));
-    if (it != lossy_links_.end()) p = p + it->second - p * it->second;
+    if (!lossy_links_.empty()) {
+      const auto it = lossy_links_.find(link_key(src, dst));
+      if (it != lossy_links_.end()) p = p + it->second - p * it->second;
+    }
     if (sim_.rng().chance(p)) {
-      t.msgs_dropped->inc();
+      s.cells.msgs_dropped->inc();
       fr_record(src, obs::FrEvent::kMsgDrop, type, dst, wire_size);
       return -1;
     }
@@ -278,8 +186,7 @@ sim::Time Fabric::backoff_wait(int failures) {
 }
 
 std::size_t Fabric::ingress_depth(NodeId node) const {
-  const auto it = ingress_depth_.find(node);
-  return it == ingress_depth_.end() ? 0 : it->second;
+  return raw(node) < nodes_.size() ? nodes_[raw(node)].ingress_depth : 0;
 }
 
 std::optional<Fabric::Delivery> Fabric::admit_ingress(const Message& msg) {
@@ -287,7 +194,11 @@ std::optional<Fabric::Delivery> Fabric::admit_ingress(const Message& msg) {
   if (is_control_plane(msg.type)) return Delivery::kDatagram;  // priority class
   const std::size_t depth = ingress_depth(msg.dst);
   if (depth >= params_.ingress_queue_limit) {
-    shed_cell(msg.dst).inc();
+    NodeSlot& s = slot(msg.dst);
+    if (s.shed == nullptr) {
+      s.shed = &metrics_.counter("net", "msgs_shed", static_cast<std::int32_t>(raw(msg.dst)));
+    }
+    s.shed->inc();
     shed_type_cell(msg.type).inc();
     fr_record(msg.dst, obs::FrEvent::kMsgShed, msg.type, msg.src, msg.wire_size);
     return std::nullopt;
@@ -297,28 +208,31 @@ std::optional<Fabric::Delivery> Fabric::admit_ingress(const Message& msg) {
 
 sim::Time Fabric::rx_schedule(NodeId dst, sim::Time arrival) {
   if (params_.ingress_service <= 0) return arrival;
-  sim::Time& free_at = next_rx_free_[dst];
+  sim::Time& free_at = slot(dst).next_rx_free;
   free_at = std::max(arrival, free_at) + params_.ingress_service;
   return free_at;
 }
 
 void Fabric::deliver_at(sim::Time when, Message msg, Delivery how) {
   if (how == Delivery::kQueued) {
-    std::size_t& depth = ingress_depth_[msg.dst];
-    ++depth;
-    depth_hist(msg.dst).record(depth);
+    NodeSlot& s = slot(msg.dst);
+    if (s.depth == nullptr) {
+      s.depth = &metrics_.histogram("net", "ingress_depth",
+                                    static_cast<std::int32_t>(raw(msg.dst)));
+    }
+    s.depth->record(++s.ingress_depth);
   }
   sim_.at(when, [this, how, m = std::move(msg)]() mutable {
-    if (how == Delivery::kQueued) --ingress_depth_[m.dst];
-    const auto it = handlers_.find(m.dst);
-    if (it == handlers_.end()) {
+    NodeSlot& s = slot(m.dst);
+    if (how == Delivery::kQueued) --s.ingress_depth;
+    if (!s.handler) {
       log::warn("fabric: message for unregistered node %u dropped", raw(m.dst));
       return;
     }
     // Re-check at delivery time: the destination may have crashed while the
     // datagram was in flight (or a loopback sender may itself be down).
-    if (!node_reachable(m.dst)) {
-      cells_for(m.dst).msgs_blackholed->inc();
+    if (!s.reachable) {
+      s.cells.msgs_blackholed->inc();
       fr_record(m.dst, obs::FrEvent::kMsgBlackholed, m.type, m.src, m.wire_size);
       // Conservation accounting: unlike an egress blackhole (never counted
       // sent), this datagram did leave a NIC — track it separately so
@@ -326,16 +240,15 @@ void Fabric::deliver_at(sim::Time when, Message msg, Delivery how) {
       if (how != Delivery::kLoopback) site_counter("msgs_blackholed_inflight").inc();
       return;
     }
-    NodeCells& t = cells_for(m.dst);
-    t.msgs_received->inc();
-    t.bytes_received->inc(m.wire_size);
+    s.cells.msgs_received->inc();
+    s.cells.bytes_received->inc(m.wire_size);
     if (how == Delivery::kLoopback) ++loopback_delivered_;
     note_delivery(m);
     // The handler runs under the arriving message's context (empty for an
     // untraced message — deliberately, so its sends don't inherit whatever
     // context happened to be ambient at the sender's end of this callback).
     const TraceContext prev = exchange_trace_context(m.trace);
-    it->second(m);
+    s.handler(m);
     exchange_trace_context(prev);
   });
 }
@@ -346,7 +259,7 @@ void Fabric::maybe_stamp(Message& msg) {
     if (!ambient_trace_.valid()) return;
     msg.trace = ambient_trace_;
     // Loopback never touches the wire, so only inter-node datagrams pay the
-    // version-2 context bytes.
+    // trace context bytes.
     if (msg.src != msg.dst) msg.wire_size += kTraceCtxBytes;
   }
   if (msg.src != msg.dst && msg.flow_id == 0 && tracer_ != nullptr && tracer_->enabled()) {
@@ -419,9 +332,7 @@ BreakerState Fabric::breaker_state(NodeId src, NodeId dst) const {
 }
 
 std::uint64_t Fabric::breaker_trips() const {
-  return metrics_ != nullptr ? metrics_->counter_total("net", "breaker_trips")
-         : own_metrics_     ? own_metrics_->counter_total("net", "breaker_trips")
-                            : 0;
+  return metrics_.counter_total("net", "breaker_trips");
 }
 
 std::uint64_t Fabric::shed_of_type(MsgType t) const {
@@ -520,7 +431,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
   bool budget_spent = false;
   while (attempt < params_.max_retries && !budget_spent) {
     ++attempt;
-    if (attempt > 1) cells_for(src).retransmits->inc();
+    if (attempt > 1) traffic_slot(src).cells.retransmits->inc();
     sim::Time arrival = transmit(src, dst, msg.wire_size, /*lossy=*/true, msg.type);
     if (arrival >= 0 && roll_corrupt(src, dst)) {
       if (params_.checksum_enabled) {
@@ -562,7 +473,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
     int ack_failures = 0;
     while (ack_attempt < params_.max_retries) {
       ++ack_attempt;
-      if (ack_attempt > 1) cells_for(dst).retransmits->inc();
+      if (ack_attempt > 1) traffic_slot(dst).cells.retransmits->inc();
       // Acks are priority traffic: never shed, never queued behind load.
       const sim::Time ack_arrival =
           transmit(dst, src, kAckBytes, /*lossy=*/true, MsgType::kCommandAck);
@@ -616,33 +527,32 @@ void Fabric::broadcast_reliable(NodeId src, MsgType type, const std::any& body,
 }
 
 NodeTraffic Fabric::traffic(NodeId node) const {
-  const auto it = traffic_.find(node);
-  if (it == traffic_.end()) return NodeTraffic{};
-  const NodeCells& c = it->second;
-  NodeTraffic out{c.msgs_sent->value(),     c.bytes_sent->value(),
-                  c.msgs_received->value(), c.bytes_received->value(),
-                  c.msgs_dropped->value(),  c.retransmits->value(),
-                  c.msgs_blackholed->value()};
-  const auto sit = shed_cells_.find(node);
-  if (sit != shed_cells_.end() && sit->second != nullptr) {
-    out.msgs_shed = sit->second->value();
+  NodeTraffic out;
+  if (raw(node) >= nodes_.size()) return out;
+  const NodeSlot& s = nodes_[raw(node)];
+  if (s.cells.msgs_sent != nullptr) {
+    const NodeCells& c = s.cells;
+    out = NodeTraffic{c.msgs_sent->value(),     c.bytes_sent->value(),
+                      c.msgs_received->value(), c.bytes_received->value(),
+                      c.msgs_dropped->value(),  c.retransmits->value(),
+                      c.msgs_blackholed->value()};
   }
+  if (s.shed != nullptr) out.msgs_shed = s.shed->value();
   return out;
 }
 
 NodeTraffic Fabric::total_traffic() const {
   NodeTraffic sum;
-  for (const auto& [node, c] : traffic_) {
-    sum.msgs_sent += c.msgs_sent->value();
-    sum.bytes_sent += c.bytes_sent->value();
-    sum.msgs_received += c.msgs_received->value();
-    sum.bytes_received += c.bytes_received->value();
-    sum.msgs_dropped += c.msgs_dropped->value();
-    sum.retransmits += c.retransmits->value();
-    sum.msgs_blackholed += c.msgs_blackholed->value();
-  }
-  for (const auto& [node, cell] : shed_cells_) {
-    if (cell != nullptr) sum.msgs_shed += cell->value();
+  for (std::uint32_t n = 0; n < nodes_.size(); ++n) {
+    const NodeTraffic t = traffic(node_id(n));
+    sum.msgs_sent += t.msgs_sent;
+    sum.bytes_sent += t.bytes_sent;
+    sum.msgs_received += t.msgs_received;
+    sum.bytes_received += t.bytes_received;
+    sum.msgs_dropped += t.msgs_dropped;
+    sum.retransmits += t.retransmits;
+    sum.msgs_blackholed += t.msgs_blackholed;
+    sum.msgs_shed += t.msgs_shed;
   }
   return sum;
 }
@@ -656,7 +566,7 @@ TypeTraffic Fabric::type_traffic(MsgType t) const {
 void Fabric::reset_traffic() {
   // One sweep zeroes per-node traffic and per-type counts/bytes alike; every
   // fabric metric lives under the "net" subsystem.
-  metrics().reset("net");
+  metrics_.reset("net");
 }
 
 }  // namespace concord::net

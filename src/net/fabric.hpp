@@ -19,7 +19,9 @@
 //     reliable class, and a per-(src, dst) circuit breaker that fails fast
 //     after consecutive timeouts and re-probes half-open after a cooldown.
 // All delays are charged to the Simulation's virtual clock. Per-node and
-// per-type traffic is accounted for the Fig. 7 / §5.4 volume results.
+// per-type traffic is accounted for the Fig. 7 / §5.4 volume results, in the
+// registry given at construction (subsystem "net"); a fabric built without
+// one accounts into a private registry of its own.
 //
 // Reliable-class delivery semantics are AT-LEAST-ONCE from the receiver's
 // point of view and best-effort-exactly-once from the sender's: the data
@@ -34,6 +36,7 @@
 #pragma once
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -91,7 +94,8 @@ struct FabricParams {
 
   // --- data integrity (all off by default) --------------------------------
   /// When on, every non-loopback datagram carries the codec's 8-byte
-  /// FNV-1a-64 checksum (wire versions 3/4): traffic accounting grows by
+  /// FNV-1a-64 checksum (the version byte's checksummed flag): traffic
+  /// accounting grows by
   /// kWireChecksumBytes per datagram, and a corrupted datagram is detected
   /// at the receiver, dropped, and counted (net/msgs_corrupt_dropped plus
   /// per-type cells) instead of being delivered — the reliable class then
@@ -146,15 +150,15 @@ class Fabric {
   /// Invoked on the sender when a reliable send completes (acked or failed).
   using SendCallback = std::function<void(Status)>;
 
-  Fabric(sim::Simulation& simulation, FabricParams params)
-      : sim_(simulation), params_(params) {}
+  /// Accounts into `registry` when given, else into a private registry.
+  Fabric(sim::Simulation& simulation, FabricParams params,
+         obs::Registry* registry = nullptr);
 
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
   /// Registers the receive handler for a node. One handler per node.
   void register_node(NodeId node, Handler handler);
-  [[nodiscard]] std::size_t node_count() const noexcept { return handlers_.size(); }
 
   /// Unreliable datagram: may be silently dropped (loss_rate).
   void send_unreliable(Message msg);
@@ -170,11 +174,8 @@ class Fabric {
                           std::size_t body_bytes, const std::vector<NodeId>& dsts,
                           SendCallback on_done = {});
 
-  /// Adopts `registry` for all traffic accounting (counters land under
-  /// subsystem "net"). Any counts accumulated before binding carry over.
-  /// Without a bound registry the fabric accounts into a private one.
-  void bind_metrics(obs::Registry& registry);
-  [[nodiscard]] obs::Registry& metrics();
+  /// The registry all traffic accounting lands in (subsystem "net").
+  [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
 
   [[nodiscard]] NodeTraffic traffic(NodeId node) const;
   [[nodiscard]] NodeTraffic total_traffic() const;
@@ -216,7 +217,7 @@ class Fabric {
   // --- causal tracing ----------------------------------------------------
   /// When on, outgoing messages without a context are stamped from the
   /// sender's *ambient* trace context (growing by kTraceCtxBytes on the
-  /// wire, exactly the codec's version-2 layout), and each non-loopback
+  /// wire, exactly the codec's traced layout), and each non-loopback
   /// stamped message emits a flow-event pair in the bound tracer linking
   /// the send tid to the delivery tid. Off by default: wire bytes, traffic
   /// accounting, and trace output are byte-identical to a build without
@@ -280,13 +281,13 @@ class Fabric {
   // that direction only; per-link loss stacks on top of the global rate.
   // Both classes are affected; for the reliable class the sender observes
   // kTimeout once max_retries attempts are gone.
-  void set_node_reachable(NodeId node, bool up);
+  void set_node_reachable(NodeId node, bool up) { slot(node).reachable = up; }
   [[nodiscard]] bool node_reachable(NodeId node) const {
-    return !unreachable_.contains(raw(node));
+    return raw(node) >= nodes_.size() || nodes_[raw(node)].reachable;
   }
   void set_link_blocked(NodeId src, NodeId dst, bool blocked);
   [[nodiscard]] bool link_blocked(NodeId src, NodeId dst) const {
-    return blocked_links_.contains(link_key(src, dst));
+    return !blocked_links_.empty() && blocked_links_.contains(link_key(src, dst));
   }
   void set_link_loss(NodeId src, NodeId dst, double p);
   [[nodiscard]] double link_loss(NodeId src, NodeId dst) const;
@@ -322,8 +323,8 @@ class Fabric {
   [[nodiscard]] static std::uint64_t link_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<std::uint64_t>(raw(src)) << 32) | raw(dst);
   }
-  /// Pre-resolved registry cells for one node's traffic (hot path touches
-  /// these pointers only; never a map or the registry itself).
+  /// Registry cells for one node's traffic (the hot path touches these
+  /// pointers only, never the registry itself).
   struct NodeCells {
     obs::Counter* msgs_sent = nullptr;
     obs::Counter* bytes_sent = nullptr;
@@ -346,6 +347,21 @@ class Fabric {
     sim::Time open_until = 0;  // when the next half-open probe is allowed
     sim::Time cooldown = 0;    // doubles on a failed probe, capped
     bool half_open = false;    // the in-progress send is the probe
+  };
+  /// Everything the fabric keeps per node. Traffic cells resolve when the
+  /// node registers or first carries traffic; the overload and corruption
+  /// cells only when their event first happens, so a run without that event
+  /// has no such cell in its snapshot.
+  struct NodeSlot {
+    Handler handler;
+    bool reachable = true;
+    sim::Time next_tx_free = 0;
+    sim::Time next_rx_free = 0;     // ingress service
+    std::size_t ingress_depth = 0;  // sheddable datagrams in flight
+    NodeCells cells;                // all null until resolved
+    obs::Counter* shed = nullptr;
+    obs::Histogram* depth = nullptr;
+    obs::Counter* corrupt = nullptr;
   };
   /// How a delivery was scheduled: loopback (no accounting), a plain
   /// datagram, or one admitted to a bounded ingress queue (depth-tracked).
@@ -375,8 +391,10 @@ class Fabric {
   void breaker_record_timeout(NodeId src, NodeId dst);
   void breaker_record_success(NodeId src, NodeId dst);
 
-  NodeCells resolve_node_cells(NodeId node);
-  NodeCells& cells_for(NodeId node);
+  /// `node`'s slot, appended (with every slot below it) on first sight.
+  NodeSlot& slot(NodeId node);
+  /// slot(node) with its traffic cells resolved.
+  NodeSlot& traffic_slot(NodeId node);
   TypeCells& type_cells(MsgType t);
   void account_send(Message& msg);
 
@@ -399,14 +417,10 @@ class Fabric {
     }
   }
 
-  // Lazily-created overload cells: these exist in a snapshot only once the
-  // matching event has happened, so unpressured runs stay byte-identical
-  // with pre-overload builds.
-  obs::Counter& shed_cell(NodeId node);
-  obs::Histogram& depth_hist(NodeId node);
+  // Lazily-created site-wide cells: these exist in a snapshot only once the
+  // matching event has happened.
   obs::Counter& shed_type_cell(MsgType t);
   obs::Counter& site_counter(const char* name);
-  obs::Counter& corrupt_cell(NodeId node);
   obs::Counter& corrupt_type_cell(MsgType t);
 
   /// Rolls the (src, dst) corruption hazard. Returns false without drawing
@@ -416,7 +430,7 @@ class Fabric {
   /// Accounts one checksum-detected corrupt datagram dropped at msg.dst.
   void count_corrupt_drop(const Message& msg);
   /// Charges the checksum field's wire bytes on non-loopback datagrams when
-  /// checksums are enabled (the codec's versions 3/4 layout).
+  /// checksums are enabled (the codec's checksummed layout).
   void maybe_checksum_charge(Message& msg) const noexcept {
     if (params_.checksum_enabled && msg.src != msg.dst) {
       msg.wire_size += kWireChecksumBytes;
@@ -425,26 +439,21 @@ class Fabric {
 
   sim::Simulation& sim_;
   FabricParams params_;
-  std::unordered_map<NodeId, Handler> handlers_;
-  std::unordered_map<NodeId, sim::Time> next_tx_free_;
-  std::unordered_map<NodeId, sim::Time> next_rx_free_;     // ingress service
-  std::unordered_map<NodeId, std::size_t> ingress_depth_;  // sheddable in flight
-  std::unordered_map<NodeId, NodeCells> traffic_;
-  std::unordered_map<NodeId, obs::Counter*> shed_cells_;
-  std::unordered_map<NodeId, obs::Histogram*> depth_hists_;
+  std::unique_ptr<obs::Registry> owned_metrics_;  // standalone fabrics only
+  obs::Registry& metrics_;
+  // Indexed by raw(NodeId). A deque, not a vector: a handler may send to a
+  // node never seen before, and growing must not move the running handler.
+  std::deque<NodeSlot> nodes_;
   std::array<TypeCells, kNumMsgTypes> type_cells_{};
   std::array<obs::Counter*, kNumMsgTypes> shed_type_cells_{};
   std::array<obs::Counter*, kNumMsgTypes> corrupt_type_cells_{};
-  std::unordered_map<NodeId, obs::Counter*> corrupt_cells_;
+  // Per-link fault state by link_key, read only while non-empty.
   std::unordered_map<std::uint64_t, double> corrupt_links_;  // per-link bit-flip
-  CorruptFn corruptor_;  // silent-poisoning hook (checksums off)
-  std::unordered_map<std::uint64_t, Breaker> breakers_;    // by link_key
-  BreakerTripFn on_breaker_trip_;
-  std::unordered_set<std::uint32_t> unreachable_;          // down nodes
+  std::unordered_map<std::uint64_t, Breaker> breakers_;
   std::unordered_set<std::uint64_t> blocked_links_;        // directed cuts
   std::unordered_map<std::uint64_t, double> lossy_links_;  // per-link loss
-  obs::Registry* metrics_ = nullptr;           // bound registry, if any
-  std::unique_ptr<obs::Registry> own_metrics_; // fallback when unbound
+  CorruptFn corruptor_;  // silent-poisoning hook (checksums off)
+  BreakerTripFn on_breaker_trip_;
 
   // Causal tracing (all inert unless trace_propagation_ is set).
   bool trace_propagation_ = false;

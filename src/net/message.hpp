@@ -154,7 +154,7 @@ static_assert(
 inline constexpr std::size_t kWireHeaderBytes = 14 + 20 + 8 + 16;
 
 /// Extra wire bytes per datagram when the integrity checksum is enabled —
-/// the codec's 8-byte FNV-1a-64 field (versions 3/4). The emulated fabric
+/// the codec's 8-byte FNV-1a-64 field (kFlagChecksummed). The emulated fabric
 /// charges the same amount so modeled and real wire volume agree.
 inline constexpr std::size_t kWireChecksumBytes = 8;
 

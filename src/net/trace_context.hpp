@@ -2,9 +2,9 @@
 //
 // A command or scan names a *root* id; each hop records the span it was
 // sent under as *parent*. Sixteen bytes on the wire — and only on the wire
-// when tracing is actually on: the codec emits them behind a bumped header
-// version byte, so a tracing-off datagram is byte-identical to one encoded
-// before this header existed. A zero root means "no context"; root ids are
+// when tracing is actually on: the codec emits them behind the traced flag
+// bit of its version byte, so a tracing-off datagram carries none of them.
+// A zero root means "no context"; root ids are
 // allocated from disjoint spaces (command ids, scan roots with the top bit
 // set) so one trace file can carry both without collision.
 #pragma once

@@ -34,8 +34,8 @@ std::string_view to_string(FrEvent e) noexcept {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::uint32_t nodes, std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), rings_(nodes) {
+FlightRecorder::FlightRecorder(Registry& registry, std::uint32_t nodes, std::size_t capacity)
+    : metrics_(registry), capacity_(capacity == 0 ? 1 : capacity), rings_(nodes) {
   for (Ring& r : rings_) r.ev.reserve(capacity_);
 }
 
@@ -108,10 +108,8 @@ void FlightRecorder::dump(std::string_view reason) {
   last_dump_ = to_json_all(reason);
   last_reason_.assign(reason);
   ++dumps_;
-  if (metrics_ != nullptr && dump_cell_ == nullptr) {
-    dump_cell_ = &metrics_->counter("obs", "blackbox_dumps");
-  }
-  if (dump_cell_ != nullptr) dump_cell_->inc();
+  if (dump_cell_ == nullptr) dump_cell_ = &metrics_.counter("obs", "blackbox_dumps");
+  dump_cell_->inc();
   if (sink_) sink_(reason, last_dump_);
 }
 

@@ -70,7 +70,9 @@ class FlightRecorder {
 
   using DumpSink = std::function<void(std::string_view reason, const std::string& json)>;
 
-  explicit FlightRecorder(std::uint32_t nodes, std::size_t capacity = kDefaultCapacity);
+  /// `registry` receives the lazy `obs/blackbox_dumps` counter.
+  FlightRecorder(Registry& registry, std::uint32_t nodes,
+                 std::size_t capacity = kDefaultCapacity);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -83,12 +85,6 @@ class FlightRecorder {
   /// ring, so any single node's dump shows it in context.
   void record_all(sim::Time ts, FrEvent type, std::uint16_t a = 0, std::uint32_t peer = 0,
                   std::uint64_t d1 = 0) noexcept;
-
-  /// Binds the registry that receives the lazy `obs/blackbox_dumps` counter.
-  void bind_metrics(Registry& registry) noexcept {
-    metrics_ = &registry;
-    dump_cell_ = nullptr;
-  }
 
   /// Sink invoked on every dump() with (reason, json).
   void set_sink(DumpSink sink) { sink_ = std::move(sink); }
@@ -124,13 +120,12 @@ class FlightRecorder {
 
   void append_ring_json(std::string& out, std::uint32_t node) const;
 
+  Registry& metrics_;
   const std::size_t capacity_;  // immutable after construction
   // concord-lint: unguarded(event-loop confined: record()/dump() run only on
   // the simulation thread — scan-pool workers deliver no messages, so no ring
   // is ever touched concurrently; adding a lock here would tax every send)
   std::vector<Ring> rings_;
-  // concord-lint: unguarded(event-loop confined, as rings_)
-  Registry* metrics_ = nullptr;
   // concord-lint: unguarded(event-loop confined, as rings_)
   Counter* dump_cell_ = nullptr;  // lazy: created on first dump only
   // concord-lint: unguarded(event-loop confined, as rings_)

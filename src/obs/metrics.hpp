@@ -5,9 +5,10 @@
 // per node, per subsystem, and per metric instead of being scattered across
 // ad-hoc structs. Design constraints:
 //
-//   * Hot-path cost is one plain add on a pre-resolved cell. Components call
-//     counter()/gauge()/histogram() once at wiring time and keep the
-//     returned reference; no map lookup, lock, or atomic is ever on the
+//   * Hot-path cost is one plain add on a pre-resolved cell. Each component
+//     gets its registry once, in its constructor (given_or_owned), calls
+//     counter()/gauge()/histogram() there and keeps the returned
+//     references; no map lookup, lock, or atomic is ever on the
 //     instrumented path. Cells live in std::map nodes, so references stay
 //     stable forever. Resolution itself takes a mutex: the sharded scan
 //     epochs (ClusterParams::sim_workers) may first-fire a lazy cell from a
@@ -26,6 +27,7 @@
 #include <bit>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -167,5 +169,14 @@ class Registry {
   // Guards create-on-first-use resolution only; see the header comment.
   common::Mutex resolve_mu_;
 };
+
+/// The registry a component accounts into for its whole life: `given` when
+/// non-null, else a private one created into `owned` (a component built
+/// standalone, as tests and benches do).
+inline Registry& given_or_owned(Registry* given, std::unique_ptr<Registry>& owned) {
+  if (given != nullptr) return *given;
+  owned = std::make_unique<Registry>();
+  return *owned;
+}
 
 }  // namespace concord::obs

@@ -7,9 +7,9 @@
 // only after every chunk is done. No worker ever touches shared mutable
 // state, so the caller can replay results in index order and keep every
 // metric, emit, and virtual-clock charge byte-identical to the serial
-// pipeline. Two consumers ride this recipe: per-scan block hashing
-// (mem::HashPool is an alias) and the cluster's sharded scan epochs
-// (ClusterParams::sim_workers).
+// pipeline. Two consumers ride this recipe: the memory update monitor's
+// per-scan block hashing (ClusterParams::hash_workers) and the cluster's
+// sharded scan epochs (ClusterParams::sim_workers).
 #pragma once
 
 #include <condition_variable>

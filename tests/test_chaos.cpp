@@ -450,7 +450,8 @@ TEST(DhtAudit, MidRunLossSpikeHealsOnceLossClears) {
 void run_chaos_sweep(std::uint64_t seed) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   constexpr std::uint32_t kNodes = 6;
-  // hash_workers=2 exercises the HashPool threads under chaos (TSan soak).
+  // hash_workers=2 exercises the monitor's scan-hashing WorkerPool threads
+  // under chaos (TSan soak).
   auto clean = make_cluster(kNodes, seed, 0.0, /*hash_workers=*/2);
   auto chaos = make_cluster(kNodes, seed, 0.0, /*hash_workers=*/2);
   const auto ses_clean = populate(*clean, 1);

@@ -5,6 +5,8 @@
 
 #include <functional>
 #include <span>
+#include <string>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "dht/collective_scan.hpp"
@@ -152,15 +154,34 @@ TEST(Codec, DhtUpdateBatchRejectsMalformed) {
   EXPECT_FALSE(codec::decode_dht_update_batch(single).has_value());
 }
 
+/// `wire`, an untraced unchecksummed datagram whose u16 record count sits at
+/// byte `count_at`, grown by one more copy of its last record: the count and
+/// the header's body length grow to match, so every byte is valid except the
+/// count's bound. (Encoders assert the bound, so they cannot build this.)
+std::vector<std::byte> with_extra_record(std::vector<std::byte> wire, std::size_t count_at) {
+  const std::vector<std::byte> last(wire.end() - codec::kDhtUpdateRecordBytes, wire.end());
+  wire.insert(wire.end(), last.begin(), last.end());
+  const auto bump = [&](std::size_t at, std::size_t width, std::uint32_t by) {
+    std::uint32_t v = 0;
+    for (std::size_t i = width; i-- > 0;) v = (v << 8) | static_cast<std::uint32_t>(wire[at + i]);
+    v += by;
+    for (std::size_t i = 0; i < width; ++i) wire[at + i] = static_cast<std::byte>(v >> (8 * i));
+  };
+  bump(count_at, 2, 1);
+  bump(6, 4, codec::kDhtUpdateRecordBytes);  // body_len follows magic, version, type
+  return wire;
+}
+
 TEST(Codec, DhtUpdateBatchRejectsOversizeCount) {
-  // Hand-build a datagram whose self-consistent count exceeds the decoder's
-  // sanity bound; every byte is valid except the bound itself.
-  const std::size_t n = codec::kMaxDhtBatchRecords + 1;
+  // A datagram whose self-consistent count exceeds the decoder's sanity
+  // bound; every byte is valid except the bound itself.
   codec::DhtUpdateBatch batch;
-  batch.records.resize(n, DhtUpdate{{7, 8}, entity_id(0), true});
+  batch.records.resize(codec::kMaxDhtBatchRecords, DhtUpdate{{7, 8}, entity_id(0), true});
   std::vector<std::byte> wire;
   codec::encode(batch, wire);
-  EXPECT_FALSE(codec::decode_dht_update_batch(wire).has_value());
+  ASSERT_TRUE(codec::decode_dht_update_batch(wire).has_value());
+  EXPECT_FALSE(
+      codec::decode_dht_update_batch(with_extra_record(wire, codec::kHeaderLen)).has_value());
 }
 
 TEST(Codec, ReplicaSyncRoundTrip) {
@@ -248,11 +269,14 @@ TEST(Codec, ReplicaSyncRejectsMalformed) {
 
 TEST(Codec, ReplicaSyncRejectsOversizeCount) {
   codec::ReplicaSync sync;
-  sync.records.resize(codec::kMaxDhtBatchRecords + 1,
-                      DhtUpdate{{7, 8}, entity_id(0), true});
+  sync.records.resize(codec::kMaxDhtBatchRecords, DhtUpdate{{7, 8}, entity_id(0), true});
   std::vector<std::byte> wire;
   codec::encode(sync, wire);
-  EXPECT_FALSE(codec::decode_replica_sync(wire).has_value());
+  ASSERT_TRUE(codec::decode_replica_sync(wire).has_value());
+  // The count follows home (u32), epoch (u64) and the last flag (u8).
+  EXPECT_FALSE(
+      codec::decode_replica_sync(with_extra_record(wire, codec::kHeaderLen + 4 + 8 + 1))
+          .has_value());
 }
 
 TEST(Codec, FuzzedBytesNeverDecode) {
@@ -491,7 +515,7 @@ TEST(UdpDhtNode, CollectiveQueryWithoutMembershipIsDropped) {
   EXPECT_FALSE(client.recv(50).has_value());  // no reply
 }
 
-// ------------------------------------------------------ trace context (v2)
+// ------------------------------------------------- trace context (traced flag)
 
 TEST(Codec, UntracedBytesAreByteIdenticalToVersion1) {
   // With tracing off (nullptr or an invalid context), the codec must emit
@@ -501,7 +525,7 @@ TEST(Codec, UntracedBytesAreByteIdenticalToVersion1) {
   std::vector<std::byte> plain, null_ctx, invalid_ctx;
   codec::encode(msg, plain);
   codec::encode(msg, null_ctx, nullptr);
-  const TraceContext empty{};  // root 0: invalid, must not trigger v2
+  const TraceContext empty{};  // root 0: invalid, must not set the traced flag
   codec::encode(msg, invalid_ctx, &empty);
   EXPECT_EQ(plain, null_ctx);
   EXPECT_EQ(plain, invalid_ctx);
@@ -690,7 +714,7 @@ TEST(Codec, TruncationFuzzEveryWireStruct) {
   }
 }
 
-// --------------------------------------------------- checksummed leg (v3/v4)
+// ----------------------------------------------- checksum leg (checksummed flag)
 
 TEST(Codec, ChecksumFlagOffIsByteIdentical) {
   // The default-off invariant: not asking for a checksum must emit the exact
@@ -777,7 +801,7 @@ TEST(Codec, ChecksummedRoundTripEveryType) {
 }
 
 TEST(Codec, ChecksummedAndTracedCompose) {
-  // Version 4: trace context and checksum stack; both optional legs cost
+  // Both flags: trace context and checksum stack; both optional legs cost
   // their exact documented bytes and both decode.
   const TraceContext ctx{0xaaaabbbbccccddddULL, 0x1111222233334444ULL};
   const DhtUpdate msg{{21, 22}, entity_id(7), true};
@@ -927,6 +951,122 @@ TEST(Codec, BindingTableCoversEveryMsgType) {
     }
     EXPECT_TRUE(covered) << "MsgType::" << to_string(t) << " binds codec struct "
                          << b.codec_struct << " but no CONCORD_TRUNC_FIXTURE covers it";
+  }
+}
+
+// ------------------------------------------------- version byte flag bits
+
+/// Offset of the version byte (after the 4-byte magic).
+constexpr std::size_t kVersionOffset = 4;
+
+/// One wire type's sample message: `encode` emits it under the given legs;
+/// `reencode` decodes a datagram and encodes the result under the same legs
+/// (empty when the decoder rejects the datagram).
+struct FlagCase {
+  std::string_view name;
+  std::function<std::vector<std::byte>(const TraceContext*, bool)> encode;
+  std::function<std::vector<std::byte>(const std::vector<std::byte>&, const TraceContext*, bool)>
+      reencode;
+};
+
+template <typename Msg, typename Decode>
+FlagCase flag_case(std::string_view name, Msg msg, Decode decode) {
+  return FlagCase{name,
+                  [msg](const TraceContext* trace, bool checksummed) {
+                    std::vector<std::byte> out;
+                    codec::encode(msg, out, trace, checksummed);
+                    return out;
+                  },
+                  [decode](const std::vector<std::byte>& wire, const TraceContext* trace,
+                           bool checksummed) {
+                    std::vector<std::byte> out;
+                    const auto back = decode(wire);
+                    if (back.has_value()) codec::encode(back.value(), out, trace, checksummed);
+                    return out;
+                  }};
+}
+
+/// A sample of every WireType.
+std::vector<FlagCase> flag_cases() {
+  codec::DhtUpdateBatch batch;
+  batch.records = {{{7, 8}, entity_id(1), true}, {{9, 10}, entity_id(2), false}};
+  codec::CollectiveQuery cq;
+  cq.req_id = 4;
+  cq.k = 2;
+  cq.collect_hashes = true;
+  cq.scope_words = {0xff, 0x01};
+  codec::CollectiveReply cr;
+  cr.req_id = 5;
+  cr.total = 9;
+  cr.unique = 11;
+  cr.k_hashes = {{1, 2}};
+  codec::ReplicaSync rs;
+  rs.home = 1;
+  rs.epoch = 2;
+  rs.last = true;
+  rs.records = {{{3, 4}, entity_id(5), true}};
+  return {
+      flag_case("insert", DhtUpdate{{1, 2}, entity_id(3), true}, codec::decode_dht_update),
+      flag_case("remove", DhtUpdate{{1, 2}, entity_id(3), false}, codec::decode_dht_update),
+      flag_case("num_copies_query", Query{77, {5, 6}, false}, codec::decode_query),
+      flag_case("entities_query", Query{78, {5, 6}, true}, codec::decode_query),
+      flag_case("query_reply", QueryReply{9, 3, {entity_id(1), entity_id(5)}},
+                codec::decode_query_reply),
+      flag_case("collective_query", cq, codec::decode_collective_query),
+      flag_case("collective_reply", cr, codec::decode_collective_reply),
+      flag_case("update_batch", batch, codec::decode_dht_update_batch),
+      flag_case("replica_sync", rs, codec::decode_replica_sync),
+  };
+}
+
+TEST(Codec, EveryFlagCombinationRoundTripsEveryWireType) {
+  const TraceContext ctx{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  for (const FlagCase& fc : flag_cases()) {
+    const std::size_t plain_size = fc.encode(nullptr, false).size();
+    for (const bool traced : {false, true}) {
+      for (const bool checksummed : {false, true}) {
+        SCOPED_TRACE(std::string(fc.name) + " traced=" + std::to_string(traced) +
+                     " checksummed=" + std::to_string(checksummed));
+        const TraceContext* trace = traced ? &ctx : nullptr;
+        const std::vector<std::byte> wire = fc.encode(trace, checksummed);
+        EXPECT_EQ(static_cast<unsigned>(wire[kVersionOffset]),
+                  1u | (traced ? 2u : 0u) | (checksummed ? 4u : 0u));
+        EXPECT_EQ(wire.size(), plain_size + (traced ? kTraceCtxBytes : 0) +
+                                   (checksummed ? codec::kChecksumBytes : 0));
+        const auto h = codec::decode_header(wire);
+        ASSERT_TRUE(h.has_value());
+        EXPECT_EQ(h.value().traced, traced);
+        EXPECT_EQ(h.value().checksummed, checksummed);
+        EXPECT_EQ(fc.reencode(wire, trace, checksummed), wire);
+        if (traced) {
+          EXPECT_EQ(codec::decode_trace_context(wire).value(), ctx);
+        }
+      }
+    }
+  }
+}
+
+TEST(Codec, UnknownVersionBitsAreRejected) {
+  const TraceContext ctx{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  for (const FlagCase& fc : flag_cases()) {
+    for (const bool traced : {false, true}) {
+      for (const bool checksummed : {false, true}) {
+        SCOPED_TRACE(std::string(fc.name) + " traced=" + std::to_string(traced) +
+                     " checksummed=" + std::to_string(checksummed));
+        const TraceContext* trace = traced ? &ctx : nullptr;
+        const std::vector<std::byte> wire = fc.encode(trace, checksummed);
+        for (unsigned bit = 3; bit < 8; ++bit) {
+          std::vector<std::byte> bad = wire;
+          bad[kVersionOffset] |= static_cast<std::byte>(1u << bit);
+          EXPECT_FALSE(codec::decode_header(bad).has_value()) << "bit " << bit;
+          EXPECT_TRUE(fc.reencode(bad, trace, checksummed).empty()) << "bit " << bit;
+        }
+        std::vector<std::byte> no_base = wire;
+        no_base[kVersionOffset] &= ~std::byte{1};
+        EXPECT_FALSE(codec::decode_header(no_base).has_value());
+        EXPECT_TRUE(fc.reencode(no_base, trace, checksummed).empty());
+      }
+    }
   }
 }
 

@@ -242,33 +242,6 @@ TEST(DhtStore, CompactBeatsChainedBytesPerEntry) {
       << "compact " << compact_bpe << " B/entry vs chained " << chained_bpe;
 }
 
-TEST(DhtStore, MoveAssignKeepsDestinationRegistryBinding) {
-  // Regression: the shard a cluster registry knows as "node 7" must keep
-  // accounting there after being replaced by move-assignment (shard
-  // recovery rebuilds stores this way). The source's accumulated counts
-  // fold into the destination's cells, and post-move inserts land there.
-  obs::Registry registry;
-  DhtStore bound(64, AllocMode::kPool);
-  bound.bind_metrics(registry, 7);
-  bound.insert(h(1), entity_id(0));
-  bound.insert(h(2), entity_id(0));
-
-  DhtStore unbound(64, AllocMode::kPool);
-  unbound.insert(h(10), entity_id(1));
-  unbound.insert(h(11), entity_id(1));
-  unbound.insert(h(12), entity_id(1));
-
-  bound = std::move(unbound);
-  // 2 pre-move + 3 folded from the source.
-  EXPECT_EQ(registry.counter("dht", "inserts", 7).value(), 5u);
-  EXPECT_EQ(registry.gauge("dht", "unique_hashes", 7).value(), 3);
-  bound.insert(h(13), entity_id(1));
-  EXPECT_EQ(registry.counter("dht", "inserts", 7).value(), 6u);
-  EXPECT_EQ(registry.gauge("dht", "unique_hashes", 7).value(), 4);
-  EXPECT_TRUE(bound.contains(h(10), entity_id(1)));
-  EXPECT_FALSE(bound.contains(h(1), entity_id(0)));
-}
-
 TEST(DhtStore, ClearReleasesEverything) {
   DhtStore store(8, AllocMode::kPool);
   for (std::uint64_t i = 0; i < 100; ++i) store.insert(h(i), entity_id(1));

@@ -220,12 +220,10 @@ TEST(Monitor, ThrottledScanWithSpareBudgetMatchesBatchedScan) {
   for (const DetectMode mode : {DetectMode::kFullScan, DetectMode::kDirtyBit}) {
     MemoryEntity a(entity_id(0), node_id(0), EntityKind::kProcess, kBlocks, kBlk);
     MemoryEntity b(entity_id(0), node_id(0), EntityKind::kProcess, kBlocks, kBlk);
-    MemoryUpdateMonitor batched(hash::BlockHasher{}, mode);
-    MemoryUpdateMonitor throttled(hash::BlockHasher{}, mode);
     obs::Registry batched_reg;
     obs::Registry throttled_reg;
-    batched.bind_metrics(batched_reg, 0);
-    throttled.bind_metrics(throttled_reg, 0);
+    MemoryUpdateMonitor batched(hash::BlockHasher{}, mode, &batched_reg, 0);
+    MemoryUpdateMonitor throttled(hash::BlockHasher{}, mode, &throttled_reg, 0);
     batched.set_hash_workers(2);
     throttled.set_update_budget(2 * kBlocks + 1);
     batched.attach(a);

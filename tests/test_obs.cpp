@@ -360,8 +360,7 @@ TEST(Json, MetricAndTraceExportsEscapeHostileNames) {
 
 TEST(FlightRecorder, RingKeepsNewestAndDumpsDeterministically) {
   obs::Registry r;
-  obs::FlightRecorder fr(2, /*capacity=*/4);
-  fr.bind_metrics(r);
+  obs::FlightRecorder fr(r, 2, /*capacity=*/4);
   for (std::uint64_t i = 0; i < 10; ++i) {
     fr.record(0, static_cast<sim::Time>(i), obs::FrEvent::kMsgSend,
               static_cast<std::uint16_t>(i), 1, i);
