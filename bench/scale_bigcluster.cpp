@@ -8,7 +8,8 @@
 //     acceptance gate is >= 30% fewer bytes/entry for the compact layout;
 //   * cluster sweep — 4096 nodes scanning 10M blocks per epoch, swept over
 //     sim_workers {1, 2, 4, 8}; per-config wall ms for the steady-state
-//     scan, plus a byte-identity check that every worker count produces the
+//     scan, split into its four pipeline phases (Cluster::scan_phase_host_ns),
+//     plus a byte-identity check that every worker count produces the
 //     identical metrics snapshot and virtual clock (determinism is part of
 //     the contract, not a best effort).
 //
@@ -80,6 +81,7 @@ struct SweepRow {
   std::string metrics;            // full registry snapshot after the run
   sim::Time now = 0;              // final virtual clock
   std::uint64_t blocks_hashed = 0;
+  core::ScanPhaseHostNs phases;   // host ns per scan_all phase, steady-state scan
 };
 
 SweepRow run_cluster(std::size_t workers) {
@@ -98,7 +100,11 @@ SweepRow run_cluster(std::size_t workers) {
   SweepRow row;
   row.workers = workers;
   mem::ScanStats stats;
+  const core::ScanPhaseHostNs before = c->scan_phase_host_ns();
   row.scan_ms = bench::wall_ns([&] { stats = c->scan_all(); }) / 1'000'000;
+  const core::ScanPhaseHostNs& after = c->scan_phase_host_ns();
+  row.phases = {after.scan - before.scan, after.merge - before.merge,
+                after.run - before.run, after.apply - before.apply};
   row.blocks_hashed = stats.blocks_hashed;
   row.metrics = c->metrics().to_json();
   row.now = c->sim().now();
@@ -128,15 +134,19 @@ int main(int argc, char** argv) {
   std::printf("  compact/chained = %.3f (acceptance: <= 0.70)\n", ratio);
 
   // --- cluster sweep: wall ms per scan vs sim_workers --------------------
-  std::printf("\n%8s %10s %14s %16s\n", "workers", "scan ms", "blocks hashed",
-              "virtual now ms");
+  // The phase columns split "scan ms" into Cluster::scan_all's pipeline:
+  // parallel scan, sequential merge, sim().run() delivery, parallel apply.
+  std::printf("\n%8s %10s %8s %8s %8s %8s %14s %16s\n", "workers", "scan ms", "scan",
+              "merge", "run", "apply", "blocks hashed", "virtual now ms");
   std::vector<SweepRow> rows;
   for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     rows.push_back(run_cluster(w));
     const SweepRow& r = rows.back();
-    std::printf("%8zu %10lld %14llu %16.2f\n", r.workers,
-                static_cast<long long>(r.scan_ms),
+    std::printf("%8zu %10lld %8.1f %8.1f %8.1f %8.1f %14llu %16.2f\n", r.workers,
+                static_cast<long long>(r.scan_ms), bench::to_ms(r.phases.scan),
+                bench::to_ms(r.phases.merge), bench::to_ms(r.phases.run),
+                bench::to_ms(r.phases.apply),
                 static_cast<unsigned long long>(r.blocks_hashed),
                 bench::to_ms(r.now));
   }

@@ -5,10 +5,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "core/cost_model.hpp"
 #include "core/update_batcher.hpp"
+#include "obs/host_clock.hpp"
 
 namespace concord::core {
 
@@ -118,9 +120,10 @@ Cluster::Cluster(ClusterParams params)
         if (auto* u = std::any_cast<DhtUpdateMsg>(&m.payload)) u->hash.lo ^= 1;
         break;
       case net::MsgType::kDhtUpdateBatch:
-        if (auto* b = std::any_cast<DhtUpdateBatchMsg>(&m.payload);
-            b != nullptr && !b->empty()) {
-          b->front().hash.lo ^= 1;
+        // A staged batch is poisoned in its sender's stage: the datagram
+        // references those records, and nothing else reads them.
+        if (const std::span<dht::UpdateRecord> b = batch_records(m); !b.empty()) {
+          b.front().hash.lo ^= 1;
         }
         break;
       case net::MsgType::kReplicaSync:
@@ -280,23 +283,27 @@ mem::ScanStats Cluster::scan_all() {
     if (!fault_.is_down(d->id())) live.push_back(d.get());
   }
   std::vector<mem::ScanStats> stats(live.size());
-  std::vector<std::vector<StagedSend>> sends(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) live[i]->set_send_stage(&sends[i]);
+  // Arming clears each stage: the previous epoch's sim_.run() delivered
+  // every datagram that referenced it, and its apply pass consumed them.
+  for (ServiceDaemon* d : live) d->set_send_staging(true);
+  std::int64_t t0 = obs::host_now_ns();
   scan_pool().run(live.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) stats[i] = live[i]->scan_and_publish();
   });
-  for (ServiceDaemon* d : live) d->set_send_stage(nullptr);
+  for (ServiceDaemon* d : live) d->set_send_staging(false);
+  std::int64_t t1 = obs::host_now_ns();
+  scan_phase_host_ns_.scan += t1 - t0;
   for (std::size_t i = 0; i < live.size(); ++i) {
     const mem::ScanStats& s = stats[i];
     const auto tid = static_cast<std::uint32_t>(raw(live[i]->id()));
     const obs::Tracer::SpanId span = tracer_.begin_span("scan", "mem", tid, sim_.now());
-    for (StagedSend& staged : sends[i]) {
+    for (StagedSend& staged : live[i]->send_stage().sends) {
       // A captured batch context (deferred records shipped under the scan
       // that produced them) re-wraps its send; everything else replays under
       // the epoch's ambient scan-root context, exactly like a direct send.
       std::optional<net::Fabric::TraceScope> send_scope;
       if (staged.ctx.valid()) send_scope.emplace(fabric_, staged.ctx);
-      fabric_.send_unreliable(std::move(staged.msg));
+      fabric_.send_unreliable(live[i]->staged_message(staged));
     }
     // The scan's virtual cost: what hashing this epoch's blocks would have
     // charged to the node. Spans and the scan_cost_ns histogram stay
@@ -316,13 +323,21 @@ mem::ScanStats Cluster::scan_all() {
     total.removes_emitted += s.removes_emitted;
     total.throttled_blocks += s.throttled_blocks;
   }
-  sim_.run();  // deliver (or lose) every update datagram
+  t0 = obs::host_now_ns();
+  scan_phase_host_ns_.merge += t0 - t1;
+  // Deliver (or lose) every update datagram. This drains the event queue,
+  // so once it returns no datagram still references a send stage.
+  sim_.run();
+  t1 = obs::host_now_ns();
+  scan_phase_host_ns_.run += t1 - t0;
   // Phase 3: every daemon (crashed ones already drained their inbox in the
   // crash handler) applies what the epoch delivered to it, in parallel —
-  // shard state and per-node metric cells are disjoint across daemons.
+  // shard state and per-node metric cells are disjoint across daemons, and
+  // the senders' stages are only read.
   scan_pool().run(daemons_.size(), [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) daemons_[i]->apply_staged();
   });
+  scan_phase_host_ns_.apply += obs::host_now_ns() - t1;
   for (auto& d : daemons_) d->set_apply_staging(false);
   // Scan boundary: the controller reads this epoch's pressure signals and
   // adapts budgets/quotas for the next one.

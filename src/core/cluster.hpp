@@ -87,6 +87,16 @@ struct ClusterParams {
   WatchdogParams watchdog;
 };
 
+/// Host nanoseconds Cluster::scan_all spent in each phase of its pipeline,
+/// summed over every epoch. Host time only: it never enters the metrics
+/// registry or any snapshot, and varies from run to run.
+struct ScanPhaseHostNs {
+  std::int64_t scan = 0;   // parallel scan: hash, route, batch into stages
+  std::int64_t merge = 0;  // sequential merge: replay staged sends
+  std::int64_t run = 0;    // sim().run(): deliver and stage applies
+  std::int64_t apply = 0;  // parallel apply into the shards
+};
+
 class Cluster {
  public:
   explicit Cluster(ClusterParams params);
@@ -165,6 +175,11 @@ class Cluster {
   /// monitor stats.
   mem::ScanStats scan_all();
 
+  /// Host time per scan_all phase since construction (see ScanPhaseHostNs).
+  [[nodiscard]] const ScanPhaseHostNs& scan_phase_host_ns() const noexcept {
+    return scan_phase_host_ns_;
+  }
+
   /// The AIMD overload controller, or nullptr when params.pressure.enabled
   /// is false.
   [[nodiscard]] PressureController* pressure() noexcept { return pressure_.get(); }
@@ -206,6 +221,7 @@ class Cluster {
   std::vector<bool> prev_alive_view_;
   std::uint64_t breaker_hints_ = 0;    // suspicion hints issued for breaker trips
   std::uint64_t next_scan_root_ = 0;   // scan-root trace ids (top bit set)
+  ScanPhaseHostNs scan_phase_host_ns_;
 };
 
 }  // namespace concord::core

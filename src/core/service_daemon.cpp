@@ -67,22 +67,33 @@ void ServiceDaemon::route_update(const mem::ContentUpdate& u) {
   route_update_to(owner, dht::UpdateRecord{u.hash, u.entity, insert});
 }
 
+namespace {
+/// The single-update datagram carrying `rec`.
+net::Message update_message(NodeId src, NodeId dst, const dht::UpdateRecord& rec) {
+  return net::make_message(src, dst,
+                           rec.insert ? net::MsgType::kDhtInsert : net::MsgType::kDhtRemove,
+                           DhtUpdateMsg{rec.hash, rec.entity, rec.insert}, kDhtUpdateBytes);
+}
+}  // namespace
+
 void ServiceDaemon::route_update_to(NodeId dst, const dht::UpdateRecord& rec) {
   if (batcher_.policy().enabled) {
     batcher_.add(dst, rec);
     return;
   }
-  net::Message msg = net::make_message(
-      id_, dst, rec.insert ? net::MsgType::kDhtInsert : net::MsgType::kDhtRemove,
-      DhtUpdateMsg{rec.hash, rec.entity, rec.insert}, kDhtUpdateBytes);
   if (send_stage_ != nullptr) {
     // Sharded scan epoch: capture the send for the cluster's sequential
     // merge pass (stamped from the ambient context at replay, like a direct
     // send would be).
-    send_stage_->push_back(StagedSend{std::move(msg)});
+    send_stage_->add(dst, std::span(&rec, 1));
     return;
   }
-  fabric_.send_unreliable(std::move(msg));
+  fabric_.send_unreliable(update_message(id_, dst, rec));
+}
+
+net::Message ServiceDaemon::staged_message(StagedSend& s) {
+  if (!batcher_.policy().enabled) return update_message(id_, s.dst, *s.first);
+  return batch_message(id_, s.dst, s.count, StagedBatchRef{&s});
 }
 
 void ServiceDaemon::mark_wiped(std::uint64_t epoch) {
@@ -105,11 +116,27 @@ std::uint64_t ServiceDaemon::compute_grant() const {
   return headroom > 1 ? static_cast<std::uint64_t>(headroom / 2) : 1;
 }
 
-void ServiceDaemon::apply_staged() {
-  for (std::vector<dht::UpdateRecord>& batch : staged_applies_) {
-    store_.apply_batch(batch);
+void ServiceDaemon::stage_apply(std::span<const dht::UpdateRecord> records, bool owned) {
+  if (!owned) {
+    inbox_.push_back(InboxEntry{records.data(), records.size()});
+    return;
   }
-  staged_applies_.clear();
+  inbox_.push_back(InboxEntry{nullptr, records.size()});
+  inbox_records_.insert(inbox_records_.end(), records.begin(), records.end());
+}
+
+void ServiceDaemon::apply_staged() {
+  const dht::UpdateRecord* owned = inbox_records_.data();
+  for (const InboxEntry& e : inbox_) {
+    if (e.first != nullptr) {
+      store_.apply_batch({e.first, e.count});
+    } else {
+      store_.apply_batch({owned, e.count});
+      owned += e.count;
+    }
+  }
+  inbox_.clear();
+  inbox_records_.clear();
 }
 
 mem::ScanStats ServiceDaemon::scan_and_publish() {
@@ -135,26 +162,22 @@ void ServiceDaemon::publish_departure(EntityId id) {
 
 void ServiceDaemon::handle_message(net::Message& msg) {
   switch (msg.type) {
-    case net::MsgType::kDhtInsert: {
-      const auto& u = msg.as<DhtUpdateMsg>();
-      if (apply_staging_) {
-        staged_applies_.push_back({dht::UpdateRecord{u.hash, u.entity, true}});
-        return;
-      }
-      store_.insert(u.hash, u.entity);
-      return;
-    }
+    case net::MsgType::kDhtInsert:
     case net::MsgType::kDhtRemove: {
       const auto& u = msg.as<DhtUpdateMsg>();
+      const bool insert = msg.type == net::MsgType::kDhtInsert;
       if (apply_staging_) {
-        staged_applies_.push_back({dht::UpdateRecord{u.hash, u.entity, false}});
-        return;
+        const dht::UpdateRecord rec{u.hash, u.entity, insert};
+        stage_apply(std::span(&rec, 1), /*owned=*/true);
+      } else if (insert) {
+        store_.insert(u.hash, u.entity);
+      } else {
+        store_.remove(u.hash, u.entity);
       }
-      store_.remove(u.hash, u.entity);
       return;
     }
     case net::MsgType::kDhtUpdateBatch: {
-      auto& records = std::any_cast<DhtUpdateBatchMsg&>(msg.payload);
+      const std::span<dht::UpdateRecord> records = batch_records(msg);
       // A traced batch leaves an apply marker on the owner's trace thread so
       // the flow arrow from the monitor lands on visible work.
       obs::Tracer* tracer = fabric_.tracer();
@@ -166,11 +189,13 @@ void ServiceDaemon::handle_message(net::Message& msg) {
         tracer->end_span(span, fabric_.sim().now());
       }
       if (apply_staging_) {
-        // Epoch-barrier apply: buffer the datagram for the parallel apply
-        // pass, taking its payload (the delivery consumes the datagram).
-        // The grant below still reads only fabric ingress state, so
+        // Epoch-barrier apply: stage the datagram for the parallel apply
+        // pass. A scan-epoch batch is staged by reference (its records stay
+        // in the sender's stage until the next epoch); an owned payload is
+        // copied. The grant below still reads only fabric ingress state, so
         // deferring the store mutation leaves it byte-identical.
-        staged_applies_.push_back(std::move(records));
+        const bool by_ref = std::any_cast<StagedBatchRef>(&msg.payload) != nullptr;
+        stage_apply(records, /*owned=*/!by_ref);
       } else {
         store_.apply_batch(records);
       }
@@ -187,10 +212,12 @@ void ServiceDaemon::handle_message(net::Message& msg) {
     }
     case net::MsgType::kReplicaSync: {
       auto& s = std::any_cast<ReplicaSyncMsg&>(msg.payload);
-      if (apply_staging_) {
-        if (!s.records.empty()) staged_applies_.push_back(std::move(s.records));
-      } else if (!s.records.empty()) {
-        store_.apply_batch(s.records);
+      if (!s.records.empty()) {
+        if (apply_staging_) {
+          stage_apply(s.records, /*owned=*/true);
+        } else {
+          store_.apply_batch(s.records);
+        }
       }
       if (s.last) mark_shard_clean(s.home, s.epoch);
       return;

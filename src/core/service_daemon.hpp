@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -110,8 +111,7 @@ class ServiceDaemon {
   [[nodiscard]] mem::MemoryUpdateMonitor& monitor() noexcept { return monitor_; }
 
   /// Fabric receive entry point; non-DHT types go to the handler registered
-  /// for that message type by the query / service-command engines. Staged
-  /// update records (kDhtUpdateBatch, kReplicaSync) are moved out of `msg`.
+  /// for that message type by the query / service-command engines.
   void handle_message(net::Message& msg);
 
   using ExtraHandler = std::function<void(ServiceDaemon&, const net::Message&)>;
@@ -172,14 +172,28 @@ class ServiceDaemon {
 
   // --- sharded-scan staging surface (core::Cluster only) ---
 
-  /// While non-null, every fabric send this daemon's scan work produces
-  /// (direct updates and batcher datagrams alike) is appended to `stage`
-  /// instead of being issued, so scan_and_publish can run on a worker
-  /// thread; the cluster replays the buffer in canonical node order.
-  void set_send_stage(std::vector<StagedSend>* stage) noexcept {
-    send_stage_ = stage;
-    batcher_.set_send_stage(stage);
+  /// Arms (`on`) or disarms this daemon's send stage. Armed, every fabric
+  /// send its scan work produces (direct updates and batcher datagrams
+  /// alike) is appended to the stage instead of being issued, so
+  /// scan_and_publish can run on a worker thread. Arming clears what the
+  /// previous epoch staged — by then that epoch's datagrams are delivered
+  /// and applied — and disarming seals the stage for the cluster to replay
+  /// in canonical node order.
+  void set_send_staging(bool on) noexcept {
+    if (on) {
+      stage_.clear();
+    } else {
+      stage_.seal();
+    }
+    send_stage_ = on ? &stage_ : nullptr;
+    batcher_.set_send_stage(send_stage_);
   }
+  [[nodiscard]] SendStage& send_stage() noexcept { return stage_; }
+
+  /// The message replaying one staged send: a kDhtUpdateBatch referencing
+  /// the stage when batching is on, else the single kDhtInsert/kDhtRemove
+  /// it stands for.
+  [[nodiscard]] net::Message staged_message(StagedSend& s);
 
   /// While on, delivered DHT updates (kDhtInsert/kDhtRemove/kDhtUpdateBatch)
   /// are buffered in arrival order instead of being applied — the fabric's
@@ -194,14 +208,14 @@ class ServiceDaemon {
   /// was delivered before the crash was applied in the serial pipeline, so
   /// its accounting must land before the shard is wiped.
   void apply_staged();
-  [[nodiscard]] std::size_t staged_applies() const noexcept {
-    return staged_applies_.size();
-  }
 
  private:
   void route_update(const mem::ContentUpdate& u);
   void route_update_to(NodeId dst, const dht::UpdateRecord& rec);
   [[nodiscard]] std::uint64_t compute_grant() const;
+  /// Appends one delivered datagram to the inbox: by reference, or (when
+  /// the message owns `records` and dies after delivery) as a copy.
+  void stage_apply(std::span<const dht::UpdateRecord> records, bool owned);
 
   NodeId id_;
   const dht::Placement& placement_;
@@ -210,21 +224,32 @@ class ServiceDaemon {
   mem::MemoryUpdateMonitor monitor_;
   UpdateBatcher batcher_;
   bool credit_grants_ = false;
+  // This daemon's scan-epoch sends (see SendStage). Records stay here until
+  // the next epoch arms the stage again: the datagrams replayed from it, and
+  // the receivers' inboxes, reference them in place.
   // concord-lint: unguarded(staged-send discipline: armed/disarmed by the
   // cluster on the simulation thread; during the parallel phase exactly one
   // worker owns this daemon and appends to the stage — daemons are never
   // shared across workers, so the buffer needs no lock)
-  std::vector<StagedSend>* send_stage_ = nullptr;  // armed during sharded scans
+  SendStage stage_;
+  SendStage* send_stage_ = nullptr;  // &stage_ while armed
   bool apply_staging_ = false;
-  // One element per delivered datagram (a single update is a 1-record
-  // batch; a batch datagram's payload is moved in, not copied): batches
-  // must not be concatenated, because apply_batch's per-datagram ordering
-  // is part of the observable accounting.
+  // One entry per delivered datagram, in arrival order (a single update is
+  // a 1-record batch): batches must not be concatenated, because
+  // apply_batch's per-datagram ordering is part of the observable
+  // accounting. An entry references a staged batch in its sender's stage;
+  // an entry with a null `first` stands for the next `count` records of
+  // inbox_records_, which holds copies of payloads the message owned.
   // concord-lint: unguarded(staged-apply discipline: filled by the fabric's
   // event loop on the simulation thread, drained by apply_staged() — which
   // the cluster runs one-worker-per-daemon after deliveries quiesce; the two
   // phases never overlap)
-  std::vector<std::vector<dht::UpdateRecord>> staged_applies_;
+  struct InboxEntry {
+    const dht::UpdateRecord* first = nullptr;
+    std::size_t count = 0;
+  };
+  std::vector<InboxEntry> inbox_;
+  std::vector<dht::UpdateRecord> inbox_records_;
   // Dirty home shards (home index -> epoch dirtied) and the highest epoch
   // this daemon is fully caught up to. Ordered map: the resync service and
   // shell status iterate it on emit paths. Always empty at R = 1.

@@ -147,8 +147,9 @@ void UpdateBatcher::ship(NodeId dst, std::vector<dht::UpdateRecord>& records,
   // Ship under the context the buffer was filled under, not whatever is
   // ambient now — a deferred batch belongs to the scan that produced it.
   // When a send stage is armed (sharded scan epoch), the fabric must not be
-  // touched from a worker thread: the datagram is captured with that same
-  // context and replayed by the cluster's sequential merge pass instead.
+  // touched from a worker thread: the datagram's records go to the stage
+  // with that same context, and the cluster's sequential merge pass replays
+  // them instead.
   std::optional<net::Fabric::TraceScope> trace_scope;
   const auto tit = pending_trace_.find(dst);
   if (tit != pending_trace_.end() && send_stage_ == nullptr) {
@@ -164,15 +165,12 @@ void UpdateBatcher::ship(NodeId dst, std::vector<dht::UpdateRecord>& records,
     const std::size_t n = std::min(cap, records.size() - off);
     updates_batched_.inc(n);
     batch_fill_.record(n);
-    net::Message msg = net::make_message(
-        self_, dst, net::MsgType::kDhtUpdateBatch,
-        DhtUpdateBatchMsg(records.begin() + static_cast<std::ptrdiff_t>(off),
-                          records.begin() + static_cast<std::ptrdiff_t>(off + n)),
-        batch_wire_size(n) - net::kWireHeaderBytes);
+    const auto chunk = std::span<const dht::UpdateRecord>(records).subspan(off, n);
     if (send_stage_ != nullptr) {
-      send_stage_->push_back(StagedSend{std::move(msg), staged_ctx});
+      send_stage_->add(dst, chunk, staged_ctx);
     } else {
-      fabric_.send_unreliable(std::move(msg));
+      fabric_.send_unreliable(
+          batch_message(self_, dst, n, DhtUpdateBatchMsg(chunk.begin(), chunk.end())));
     }
     if (quota != nullptr) --*quota;
     off += n;

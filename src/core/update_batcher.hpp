@@ -33,8 +33,12 @@
 // hash-map iteration order.
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -46,22 +50,78 @@
 
 namespace concord::core {
 
-/// Payload of kDhtUpdateBatch messages on the emulated fabric: the records in
-/// arrival order. The receiving shard applies them via DhtStore::apply_batch.
+/// Payload of a kDhtUpdateBatch sent outside a scan epoch (departures,
+/// republish, resync flushes): the records in arrival order, owned by the
+/// message. Read it through batch_records().
 using DhtUpdateBatchMsg = std::vector<dht::UpdateRecord>;
 
 /// One fabric send captured during a sharded scan epoch instead of being
-/// issued immediately. Workers compute node-local scan work in parallel and
-/// append their sends here (per-node, index-aligned buffers); the cluster's
+/// issued immediately: `count` records of the owning SendStage's record
+/// buffer, bound for `dst`. Workers compute node-local scan work in parallel
+/// and append their sends to their own node's stage; the cluster's
 /// sequential merge pass then replays them in canonical node order, so the
 /// fabric's rng draws, flow-event stream, and egress bookkeeping are
 /// byte-identical to the serial pipeline. `ctx` carries the causal context a
 /// deferred batch was filled under (invalid = stamp from the ambient context
 /// at replay time, exactly like a direct send).
 struct StagedSend {
-  net::Message msg;
+  NodeId dst{};
+  std::uint32_t count = 0;
+  dht::UpdateRecord* first = nullptr;  // set by SendStage::seal()
   net::TraceContext ctx{};
 };
+
+/// A daemon's scan-epoch send stage, kept (with its capacity) across epochs.
+/// The scan phase appends each datagram's records to one contiguous buffer;
+/// seal() then points every send at its records, and from there until the
+/// next epoch's clear() the buffer never moves: the datagrams replayed from
+/// it carry references into it, not copies.
+struct SendStage {
+  std::vector<StagedSend> sends;
+  std::vector<dht::UpdateRecord> records;
+
+  /// Stages one datagram of `recs` for `dst`.
+  void add(NodeId dst, std::span<const dht::UpdateRecord> recs,
+           net::TraceContext ctx = {}) {
+    sends.push_back(StagedSend{dst, static_cast<std::uint32_t>(recs.size()), nullptr, ctx});
+    records.insert(records.end(), recs.begin(), recs.end());
+  }
+  /// Resolves every send's `first`; call once appending has stopped.
+  void seal() noexcept {
+    dht::UpdateRecord* next = records.data();
+    for (StagedSend& s : sends) {
+      s.first = next;
+      next += s.count;
+    }
+  }
+  void clear() noexcept {
+    sends.clear();
+    records.clear();
+  }
+};
+
+/// Payload of a kDhtUpdateBatch replayed from a SendStage: a reference to
+/// the staged send, whose records stay in the sender's stage until the next
+/// scan epoch clears it. No scan-epoch batch payload owns heap memory, so
+/// nothing a scan worker allocates for one is freed on another thread.
+struct StagedBatchRef {
+  StagedSend* send = nullptr;
+};
+// std::any keeps a payload in its own storage (no holder allocation) only
+// when it is pointer-sized and nothrow-movable.
+static_assert(sizeof(StagedBatchRef) <= sizeof(void*) &&
+                  alignof(StagedBatchRef) <= alignof(void*) &&
+                  std::is_nothrow_move_constructible_v<StagedBatchRef>,
+              "StagedBatchRef must fit std::any's local storage");
+
+/// The records of a kDhtUpdateBatch message, whichever payload form it
+/// carries. The only reader of batch payloads.
+[[nodiscard]] inline std::span<dht::UpdateRecord> batch_records(net::Message& msg) {
+  if (auto* ref = std::any_cast<StagedBatchRef>(&msg.payload)) {
+    return {ref->send->first, ref->send->count};
+  }
+  return std::any_cast<DhtUpdateBatchMsg&>(msg.payload);
+}
 
 /// Batching knobs shared by every daemon of a cluster.
 struct BatchPolicy {
@@ -85,6 +145,15 @@ struct BatchPolicy {
 [[nodiscard]] constexpr std::size_t batch_wire_size(std::size_t records) noexcept {
   return net::kWireHeaderBytes + net::codec::kDhtUpdateBatchCountBytes +
          records * net::codec::kDhtUpdateRecordBytes;
+}
+
+/// A kDhtUpdateBatch datagram of `records` records carrying `payload`
+/// (a DhtUpdateBatchMsg or a StagedBatchRef).
+template <typename Payload>
+[[nodiscard]] net::Message batch_message(NodeId src, NodeId dst, std::size_t records,
+                                         Payload payload) {
+  return net::make_message(src, dst, net::MsgType::kDhtUpdateBatch, std::move(payload),
+                           batch_wire_size(records) - net::kWireHeaderBytes);
 }
 
 class UpdateBatcher {
@@ -136,7 +205,7 @@ class UpdateBatcher {
   /// While non-null, ship() appends its datagrams to `stage` instead of
   /// touching the fabric — the sharded-scan staging surface. The cluster
   /// arms this only for the duration of a scan epoch's parallel phase.
-  void set_send_stage(std::vector<StagedSend>* stage) noexcept { send_stage_ = stage; }
+  void set_send_stage(SendStage* stage) noexcept { send_stage_ = stage; }
 
   /// Caps datagrams shipped per flush_all (0 = unlimited). The
   /// PressureController's AIMD loop drives this.
@@ -187,7 +256,7 @@ class UpdateBatcher {
   // this stage pointer and the buffers above — exclusively; the sequential
   // merge pass is the only other reader. No two threads ever alias one
   // batcher, so a lock would serialize the very phase the pool parallelizes.)
-  std::vector<StagedSend>* send_stage_ = nullptr;  // sharded-scan staging
+  SendStage* send_stage_ = nullptr;  // sharded-scan staging
   bool flow_control_ = false;
   std::uint64_t credits_ = 0;
   std::uint64_t flush_quota_ = 0;  // datagrams per flush_all; 0 = unlimited

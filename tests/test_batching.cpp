@@ -218,17 +218,17 @@ TEST(Batching, FlushAllShipsInAscendingNodeOrder) {
   sim::Simulation simu{5};
   net::Fabric fabric(simu, net::FabricParams{});
   core::UpdateBatcher batcher(node_id(0), fabric, core::BatchPolicy{});
-  std::vector<core::StagedSend> stage;
+  core::SendStage stage;
   batcher.set_send_stage(&stage);
   for (std::uint32_t dst = 9; dst >= 1; --dst) {
     batcher.add(node_id(dst), record(dst));
     batcher.add(node_id(dst), record(dst + 100));
   }
   batcher.flush_all();
-  ASSERT_EQ(stage.size(), 9u);
-  for (std::size_t i = 0; i < stage.size(); ++i) {
-    EXPECT_EQ(stage[i].msg.dst, node_id(static_cast<std::uint32_t>(i + 1)));
-    EXPECT_EQ(stage[i].msg.as<core::DhtUpdateBatchMsg>().size(), 2u);
+  ASSERT_EQ(stage.sends.size(), 9u);
+  for (std::size_t i = 0; i < stage.sends.size(); ++i) {
+    EXPECT_EQ(stage.sends[i].dst, node_id(static_cast<std::uint32_t>(i + 1)));
+    EXPECT_EQ(stage.sends[i].count, 2u);
   }
   EXPECT_EQ(batcher.pending_records(), 0u);
 }
@@ -241,7 +241,7 @@ TEST(Batching, RemapKeysOnPlacementGenerationNotEpoch) {
   net::Fabric fabric(simu, net::FabricParams{});
   dht::Placement placement(4);
   core::UpdateBatcher batcher(node_id(0), fabric, core::BatchPolicy{}, &placement);
-  std::vector<core::StagedSend> stage;
+  core::SendStage stage;
   batcher.set_send_stage(&stage);
 
   std::uint64_t i = 0;
@@ -250,20 +250,21 @@ TEST(Batching, RemapKeysOnPlacementGenerationNotEpoch) {
   placement.set_view(placement.epoch(), {true, true, false, true});
   ASSERT_EQ(placement.owner(record(i).hash), node_id(3));
   batcher.flush_all();
-  ASSERT_EQ(stage.size(), 1u);
-  EXPECT_EQ(stage[0].msg.dst, node_id(3));
+  ASSERT_EQ(stage.sends.size(), 1u);
+  EXPECT_EQ(stage.sends[0].dst, node_id(3));
 
   // Unchanged generation: records are trusted where their caller put them.
   stage.clear();
   batcher.add(node_id(3), record(i));
   batcher.flush_all();
-  ASSERT_EQ(stage.size(), 1u);
-  EXPECT_EQ(stage[0].msg.dst, node_id(3));
+  ASSERT_EQ(stage.sends.size(), 1u);
+  EXPECT_EQ(stage.sends[0].dst, node_id(3));
 }
 
 TEST(Batching, TracedApplySpanCountsRecordsOfMovedPayload) {
-  // The staged inbox takes a batch datagram's payload by move; the apply
-  // marker recorded at delivery must still carry the full record count.
+  // The staged inbox references a scan-epoch batch's records in its
+  // sender's stage; the apply marker recorded at delivery must still carry
+  // the full record count.
   core::ClusterParams p = make_params(true, 0.0, 17);
   p.trace_propagation = true;
   core::Cluster cluster(p);
@@ -290,6 +291,52 @@ TEST(Batching, TracedApplySpanCountsRecordsOfMovedPayload) {
   populate(unbatched, 64);
   (void)unbatched.scan_all();
   EXPECT_EQ(dht_dump(cluster), dht_dump(unbatched));
+}
+
+TEST(Batching, SilentCorruptionPoisonsTheStagedFirstRecordAtAnyWorkerCount) {
+  // Checksums off, every datagram corrupted: a scan epoch's batches travel
+  // by reference into their sender's stage, and the corruptor flips the
+  // first record's hash there. The owner must end up holding the flipped
+  // hash, not the sent one, whichever worker count ran the epoch.
+  std::vector<std::vector<std::string>> dumps;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    core::ClusterParams p = make_params(true, 0.0, 29);
+    p.fabric.corrupt_rate = 1.0;
+    p.fabric.checksum_enabled = false;
+    p.sim_workers = workers;
+    core::Cluster cluster(p);
+    populate(cluster, 16);
+    (void)cluster.scan_all();
+
+    // 16 blocks per node stay far below one datagram's record budget, so
+    // each (sender, owner) pair ships exactly one batch, whose first record
+    // is the sender's first block, in block order, that the owner homes.
+    std::size_t flipped = 0;
+    for (std::uint32_t n = 0; n < cluster.num_nodes(); ++n) {
+      const EntityId e = cluster.live_entities()[n];
+      const std::vector<ContentHash>* hashes =
+          cluster.daemon(node_id(n)).monitor().known_hashes(e);
+      ASSERT_NE(hashes, nullptr);
+      std::vector<NodeId> seen;
+      for (const ContentHash& h : *hashes) {
+        const NodeId owner = cluster.placement().owner(h);
+        if (owner == node_id(n) ||
+            std::find(seen.begin(), seen.end(), owner) != seen.end()) {
+          continue;
+        }
+        seen.push_back(owner);
+        ContentHash poisoned = h;
+        poisoned.lo ^= 1;
+        const dht::DhtStore& store = cluster.daemon(owner).store();
+        EXPECT_TRUE(store.contains(poisoned, e)) << "node " << n << " -> " << raw(owner);
+        EXPECT_FALSE(store.contains(h, e)) << "node " << n << " -> " << raw(owner);
+        ++flipped;
+      }
+    }
+    EXPECT_EQ(flipped, cluster.fabric().type_msgs(net::MsgType::kDhtUpdateBatch));
+    dumps.push_back(dht_dump(cluster));
+  }
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(Batching, ApplyBatchMatchesSequentialApplication) {

@@ -109,6 +109,11 @@ TEST(DhtStore, PoolUsesLessMemoryThanMalloc) {
   // malloc's real usable-size accounting. One or two copies per hash never
   // allocates in the compact layout, so the load must spill (3+ entities
   // per hash) for the allocator choice to matter at all.
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan replaces glibc malloc, and its malloc_usable_size reports the "
+                  "requested size, so the malloc side of the Fig. 6 comparison is not "
+                  "measured in this build";
+#endif
   constexpr std::uint32_t kEntities = 256;
   constexpr std::uint64_t kHashes = 50000;
   DhtStore pool(kEntities, AllocMode::kPool);
