@@ -1,6 +1,6 @@
 // Minimal leveled logger. Off by default so benchmarks stay quiet; tests and
 // examples can raise the level. Not thread-hot: the emulation is
-// single-threaded per Simulation, and real-socket paths log rarely.
+// single-threaded per Simulation.
 #pragma once
 
 #include <cstdio>

@@ -3,9 +3,8 @@
 // Because the hash space is partitioned across shards, any collective query
 // reduces to one pass over each shard — counting copies, splitting
 // redundancy into intra-/inter-node, and collecting "at least k copies"
-// hashes — whose partial results merge by addition. Both execution
-// substrates share this kernel: the emulated QueryEngine and the deployable
-// real-UDP node (net/udp_node.hpp).
+// hashes — whose partial results merge by addition. The QueryEngine runs it
+// on every shard and merges the partials.
 #pragma once
 
 #include <functional>

@@ -114,6 +114,52 @@ void seal(std::vector<std::byte>& out, std::size_t start, const TraceContext* tr
   return stored == sum;
 }
 
+/// Whether `type` names a WireType. The numbering has a gap (3-7 are retired),
+/// so a range check would admit bytes no decoder reads.
+[[nodiscard]] bool known_type(std::uint8_t type) {
+  switch (static_cast<WireType>(type)) {
+    case WireType::kDhtInsert:
+    case WireType::kDhtRemove:
+    case WireType::kDhtUpdateBatch:
+    case WireType::kReplicaSync:
+      return true;
+  }
+  return false;
+}
+
+/// Appends a u16 record count and the kDhtUpdateRecordBytes-layout records
+/// shared by kDhtUpdateBatch and kReplicaSync bodies.
+void put_records(std::vector<std::byte>& out, const std::vector<DhtUpdate>& records) {
+  assert(records.size() <= kMaxDhtBatchRecords);
+  put_u16(out, static_cast<std::uint16_t>(records.size()));
+  for (const DhtUpdate& rec : records) {
+    put_u8(out, rec.insert ? 1 : 0);
+    put_u64(out, rec.hash.hi);
+    put_u64(out, rec.hash.lo);
+    put_u32(out, raw(rec.entity));
+  }
+}
+
+/// Reads what put_records wrote, which must end the body exactly.
+[[nodiscard]] bool read_records(Reader& r, std::vector<DhtUpdate>& records) {
+  std::uint16_t count = 0;
+  if (!r.u16(count) || count > kMaxDhtBatchRecords) return false;
+  records.reserve(count);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    DhtUpdate rec;
+    std::uint8_t op = 0;
+    std::uint32_t entity = 0;
+    if (!r.u8(op) || !r.u64(rec.hash.hi) || !r.u64(rec.hash.lo) || !r.u32(entity)) {
+      return false;
+    }
+    if (op > 1) return false;  // only insert/remove ops exist
+    rec.insert = op == 1;
+    rec.entity = entity_id(entity);
+    records.push_back(rec);
+  }
+  return r.done();
+}
+
 /// A validated datagram: its header and a reader positioned at the body.
 struct Body {
   WireHeader header;
@@ -149,43 +195,26 @@ void encode(const DhtUpdate& msg, std::vector<std::byte>& out, const TraceContex
 
 void encode(const DhtUpdateBatch& msg, std::vector<std::byte>& out,
             const TraceContext* trace, bool checksummed) {
-  assert(msg.records.size() <= kMaxDhtBatchRecords);
   const std::size_t start = out.size();
-  const auto count = static_cast<std::uint16_t>(msg.records.size());
   put_header(out, WireType::kDhtUpdateBatch,
              static_cast<std::uint32_t>(kDhtUpdateBatchCountBytes +
                                         msg.records.size() * kDhtUpdateRecordBytes),
              trace, checksummed);
-  put_u16(out, count);
-  for (const DhtUpdate& rec : msg.records) {
-    put_u8(out, rec.insert ? 1 : 0);
-    put_u64(out, rec.hash.hi);
-    put_u64(out, rec.hash.lo);
-    put_u32(out, raw(rec.entity));
-  }
+  put_records(out, msg.records);
   seal(out, start, trace, checksummed);
 }
 
-void encode(const Query& msg, std::vector<std::byte>& out, const TraceContext* trace,
-            bool checksummed) {
+void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
+            const TraceContext* trace, bool checksummed) {
   const std::size_t start = out.size();
-  put_header(out, msg.want_entities ? WireType::kEntitiesQuery : WireType::kNumCopiesQuery,
-             8 + 16, trace, checksummed);
-  put_u64(out, msg.req_id);
-  put_u64(out, msg.hash.hi);
-  put_u64(out, msg.hash.lo);
-  seal(out, start, trace, checksummed);
-}
-
-void encode(const QueryReply& msg, std::vector<std::byte>& out, const TraceContext* trace,
-            bool checksummed) {
-  const std::size_t start = out.size();
-  const auto count = static_cast<std::uint32_t>(msg.entities.size());
-  put_header(out, WireType::kQueryReply, 8 + 4 + 4 + count * 4, trace, checksummed);
-  put_u64(out, msg.req_id);
-  put_u32(out, msg.num_copies);
-  put_u32(out, count);
-  for (const EntityId e : msg.entities) put_u32(out, raw(e));
+  put_header(out, WireType::kReplicaSync,
+             static_cast<std::uint32_t>(kReplicaSyncFixedBytes +
+                                        msg.records.size() * kDhtUpdateRecordBytes),
+             trace, checksummed);
+  put_u32(out, msg.home);
+  put_u64(out, msg.epoch);
+  put_u8(out, msg.last ? 1 : 0);
+  put_records(out, msg.records);
   seal(out, start, trace, checksummed);
 }
 
@@ -202,7 +231,7 @@ Result<WireHeader> decode_header(std::span<const std::byte> datagram) {
   }
   const bool traced = (version & kFlagTraced) != 0;
   const bool checksummed = (version & kFlagChecksummed) != 0;
-  if (type < 1 || type > kMaxWireType) return Status::kInvalidArgument;
+  if (!known_type(type)) return Status::kInvalidArgument;
   if (datagram.size() != kHeaderLen + (traced ? kTraceCtxBytes : 0) +
                              (checksummed ? kChecksumBytes : 0) + body_len) {
     return Status::kInvalidArgument;
@@ -218,137 +247,6 @@ Result<TraceContext> decode_trace_context(std::span<const std::byte> datagram) {
   TraceContext ctx;
   if (!r.u64(ctx.root) || !r.u64(ctx.parent)) return Status::kInvalidArgument;
   return ctx;
-}
-
-void encode(const CollectiveQuery& msg, std::vector<std::byte>& out,
-            const TraceContext* trace, bool checksummed) {
-  const std::size_t start = out.size();
-  const auto words = static_cast<std::uint32_t>(msg.scope_words.size());
-  put_header(out, WireType::kCollectiveQuery, 8 + 8 + 1 + 4 + words * 8, trace, checksummed);
-  put_u64(out, msg.req_id);
-  put_u64(out, msg.k);
-  put_u8(out, msg.collect_hashes ? 1 : 0);
-  put_u32(out, words);
-  for (const std::uint64_t w : msg.scope_words) put_u64(out, w);
-  seal(out, start, trace, checksummed);
-}
-
-void encode(const CollectiveReply& msg, std::vector<std::byte>& out,
-            const TraceContext* trace, bool checksummed) {
-  const std::size_t start = out.size();
-  const auto count = static_cast<std::uint32_t>(msg.k_hashes.size());
-  put_header(out, WireType::kCollectiveReply, 8 + 5 * 8 + 4 + count * 16, trace, checksummed);
-  put_u64(out, msg.req_id);
-  put_u64(out, msg.total);
-  put_u64(out, msg.unique);
-  put_u64(out, msg.intra);
-  put_u64(out, msg.inter);
-  put_u64(out, msg.k_count);
-  put_u32(out, count);
-  for (const ContentHash& h : msg.k_hashes) {
-    put_u64(out, h.hi);
-    put_u64(out, h.lo);
-  }
-  seal(out, start, trace, checksummed);
-}
-
-Result<CollectiveQuery> decode_collective_query(std::span<const std::byte> datagram) {
-  Result<Body> body =
-      open_body(datagram, WireType::kCollectiveQuery, WireType::kCollectiveQuery);
-  if (!body.has_value()) return body.status();
-  CollectiveQuery msg;
-  Reader& r = body.value().reader;
-  std::uint8_t collect = 0;
-  std::uint32_t words = 0;
-  if (!r.u64(msg.req_id) || !r.u64(msg.k) || !r.u8(collect) || !r.u32(words)) {
-    return Status::kInvalidArgument;
-  }
-  if (words > 1u << 16) return Status::kInvalidArgument;  // 4M entities is plenty
-  if (collect > 1) return Status::kInvalidArgument;  // non-canonical bool byte
-  msg.collect_hashes = collect == 1;
-  msg.scope_words.reserve(words);
-  for (std::uint32_t i = 0; i < words; ++i) {
-    std::uint64_t w = 0;
-    if (!r.u64(w)) return Status::kInvalidArgument;
-    msg.scope_words.push_back(w);
-  }
-  if (!r.done()) return Status::kInvalidArgument;
-  return msg;
-}
-
-Result<CollectiveReply> decode_collective_reply(std::span<const std::byte> datagram) {
-  Result<Body> body =
-      open_body(datagram, WireType::kCollectiveReply, WireType::kCollectiveReply);
-  if (!body.has_value()) return body.status();
-  CollectiveReply msg;
-  Reader& r = body.value().reader;
-  std::uint32_t count = 0;
-  if (!r.u64(msg.req_id) || !r.u64(msg.total) || !r.u64(msg.unique) || !r.u64(msg.intra) ||
-      !r.u64(msg.inter) || !r.u64(msg.k_count) || !r.u32(count)) {
-    return Status::kInvalidArgument;
-  }
-  if (count > 1u << 20) return Status::kInvalidArgument;
-  msg.k_hashes.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ContentHash h;
-    if (!r.u64(h.hi) || !r.u64(h.lo)) return Status::kInvalidArgument;
-    msg.k_hashes.push_back(h);
-  }
-  if (!r.done()) return Status::kInvalidArgument;
-  return msg;
-}
-
-void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
-            const TraceContext* trace, bool checksummed) {
-  assert(msg.records.size() <= kMaxDhtBatchRecords);
-  const std::size_t start = out.size();
-  const auto count = static_cast<std::uint16_t>(msg.records.size());
-  put_header(out, WireType::kReplicaSync,
-             static_cast<std::uint32_t>(kReplicaSyncFixedBytes +
-                                        msg.records.size() * kDhtUpdateRecordBytes),
-             trace, checksummed);
-  put_u32(out, msg.home);
-  put_u64(out, msg.epoch);
-  put_u8(out, msg.last ? 1 : 0);
-  put_u16(out, count);
-  for (const DhtUpdate& rec : msg.records) {
-    put_u8(out, rec.insert ? 1 : 0);
-    put_u64(out, rec.hash.hi);
-    put_u64(out, rec.hash.lo);
-    put_u32(out, raw(rec.entity));
-  }
-  seal(out, start, trace, checksummed);
-}
-
-Result<ReplicaSync> decode_replica_sync(std::span<const std::byte> datagram) {
-  Result<Body> body =
-      open_body(datagram, WireType::kReplicaSync, WireType::kReplicaSync);
-  if (!body.has_value()) return body.status();
-  ReplicaSync msg;
-  Reader& r = body.value().reader;
-  std::uint8_t last = 0;
-  std::uint16_t count = 0;
-  if (!r.u32(msg.home) || !r.u64(msg.epoch) || !r.u8(last) || !r.u16(count)) {
-    return Status::kInvalidArgument;
-  }
-  if (last > 1) return Status::kInvalidArgument;
-  if (count > kMaxDhtBatchRecords) return Status::kInvalidArgument;
-  msg.last = last == 1;
-  msg.records.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    DhtUpdate rec;
-    std::uint8_t op = 0;
-    std::uint32_t entity = 0;
-    if (!r.u8(op) || !r.u64(rec.hash.hi) || !r.u64(rec.hash.lo) || !r.u32(entity)) {
-      return Status::kInvalidArgument;
-    }
-    if (op > 1) return Status::kInvalidArgument;
-    rec.insert = op == 1;
-    rec.entity = entity_id(entity);
-    msg.records.push_back(rec);
-  }
-  if (!r.done()) return Status::kInvalidArgument;
-  return msg;
 }
 
 Result<DhtUpdate> decode_dht_update(std::span<const std::byte> datagram) {
@@ -370,57 +268,21 @@ Result<DhtUpdateBatch> decode_dht_update_batch(std::span<const std::byte> datagr
       open_body(datagram, WireType::kDhtUpdateBatch, WireType::kDhtUpdateBatch);
   if (!body.has_value()) return body.status();
   DhtUpdateBatch msg;
-  Reader& r = body.value().reader;
-  std::uint16_t count = 0;
-  if (!r.u16(count)) return Status::kInvalidArgument;
-  if (count > kMaxDhtBatchRecords) return Status::kInvalidArgument;
-  msg.records.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    DhtUpdate rec;
-    std::uint8_t op = 0;
-    std::uint32_t entity = 0;
-    if (!r.u8(op) || !r.u64(rec.hash.hi) || !r.u64(rec.hash.lo) || !r.u32(entity)) {
-      return Status::kInvalidArgument;
-    }
-    if (op > 1) return Status::kInvalidArgument;  // only insert/remove ops exist
-    rec.insert = op == 1;
-    rec.entity = entity_id(entity);
-    msg.records.push_back(rec);
-  }
-  if (!r.done()) return Status::kInvalidArgument;
+  if (!read_records(body.value().reader, msg.records)) return Status::kInvalidArgument;
   return msg;
 }
 
-Result<Query> decode_query(std::span<const std::byte> datagram) {
-  Result<Body> body =
-      open_body(datagram, WireType::kNumCopiesQuery, WireType::kEntitiesQuery);
+Result<ReplicaSync> decode_replica_sync(std::span<const std::byte> datagram) {
+  Result<Body> body = open_body(datagram, WireType::kReplicaSync, WireType::kReplicaSync);
   if (!body.has_value()) return body.status();
-  Query msg;
-  msg.want_entities = body.value().header.type == WireType::kEntitiesQuery;
+  ReplicaSync msg;
   Reader& r = body.value().reader;
-  if (!r.u64(msg.req_id) || !r.u64(msg.hash.hi) || !r.u64(msg.hash.lo) || !r.done()) {
+  std::uint8_t last = 0;
+  if (!r.u32(msg.home) || !r.u64(msg.epoch) || !r.u8(last) || last > 1) {
     return Status::kInvalidArgument;
   }
-  return msg;
-}
-
-Result<QueryReply> decode_query_reply(std::span<const std::byte> datagram) {
-  Result<Body> body = open_body(datagram, WireType::kQueryReply, WireType::kQueryReply);
-  if (!body.has_value()) return body.status();
-  QueryReply msg;
-  Reader& r = body.value().reader;
-  std::uint32_t count = 0;
-  if (!r.u64(msg.req_id) || !r.u32(msg.num_copies) || !r.u32(count)) {
-    return Status::kInvalidArgument;
-  }
-  if (count > 1u << 20) return Status::kInvalidArgument;  // sanity bound
-  msg.entities.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::uint32_t e = 0;
-    if (!r.u32(e)) return Status::kInvalidArgument;
-    msg.entities.push_back(entity_id(e));
-  }
-  if (!r.done()) return Status::kInvalidArgument;
+  msg.last = last == 1;
+  if (!read_records(r, msg.records)) return Status::kInvalidArgument;
   return msg;
 }
 

@@ -1,18 +1,16 @@
-// Wire codec for running ConCORD's protocols over real sockets.
+// Wire codec: the reference byte layout behind the emulator's charged sizes.
 //
 // The emulated Fabric passes typed payloads within one address space and
-// models only the wire *size*. For genuine deployment — the paper's system
-// runs everything over UDP (§3.4) — messages need a byte layout. This codec
-// defines it: a fixed little-endian header (magic, version, type, body
-// length), the optional trace context and checksum its version byte's flag
-// bits announce, then a per-type body. It is deliberately explicit (no
-// struct dumping) so the format is stable across compilers and
-// architectures, and every decoder rejects malformed input instead of
-// trusting the network.
-//
-// Covered messages: DHT updates (the bulk of real traffic), node-wise
-// queries and their replies — the paths exercised by the real-socket
-// integration tests and the udp_node loopback deployment.
+// charges each datagram its wire *size*. For the bulk traffic — DHT updates
+// and replica re-sync streams, which the paper sends as UDP datagrams (§3.4)
+// — those sizes come from the layouts defined here: a fixed little-endian
+// header (magic, version, type, body length), the optional trace context and
+// checksum its version byte's flag bits announce, then a per-type body.
+// `update_batcher.hpp` and `service_daemon.hpp` read the size constants; the
+// encoders and decoders exist so the round-trip tests tie every charged byte
+// to a real encoding. The layout is explicit (no struct dumping) so it is
+// stable across compilers and architectures, and every decoder rejects
+// malformed input.
 // concord-lint: emit-path — bytes or messages produced here must not depend on
 // hash-map iteration order.
 #pragma once
@@ -45,15 +43,10 @@ inline constexpr std::uint8_t kFlagChecksummed = 1u << 2;
 enum class WireType : std::uint8_t {
   kDhtInsert = 1,
   kDhtRemove = 2,
-  kNumCopiesQuery = 3,
-  kEntitiesQuery = 4,
-  kQueryReply = 5,
-  kCollectiveQuery = 6,
-  kCollectiveReply = 7,
+  // 3-7 are retired and must not be reused: decoders reject them.
   kDhtUpdateBatch = 8,
   kReplicaSync = 9,
 };
-inline constexpr std::uint8_t kMaxWireType = 9;
 
 struct WireHeader {
   WireType type{};
@@ -104,35 +97,6 @@ struct ReplicaSync {
 /// Fixed ReplicaSync body overhead (home + epoch + last flag + record count).
 inline constexpr std::size_t kReplicaSyncFixedBytes = 4 + 8 + 1 + 2;
 
-struct Query {
-  std::uint64_t req_id = 0;
-  ContentHash hash;
-  bool want_entities = false;
-};
-
-struct QueryReply {
-  std::uint64_t req_id = 0;
-  std::uint32_t num_copies = 0;
-  std::vector<EntityId> entities;  // filled only for entities() queries
-};
-
-/// One shard's slice of a collective query (sharing / num_shared_content /
-/// shared_content). The scope travels as an entity bitmap; the shard's
-/// membership table (entity -> host) is deployment configuration, not wire
-/// data.
-struct CollectiveQuery {
-  std::uint64_t req_id = 0;
-  std::uint64_t k = ~std::uint64_t{0};
-  bool collect_hashes = false;
-  std::vector<std::uint64_t> scope_words;  // entity bitmap, 64-bit words
-};
-
-struct CollectiveReply {
-  std::uint64_t req_id = 0;
-  std::uint64_t total = 0, unique = 0, intra = 0, inter = 0, k_count = 0;
-  std::vector<ContentHash> k_hashes;
-};
-
 // --- encoders: append one datagram (header, then body) to `out`. A valid
 // `trace` sets kFlagTraced and emits the context; nullptr or an invalid
 // context emits none. `checksummed = true` sets kFlagChecksummed and emits
@@ -141,14 +105,6 @@ struct CollectiveReply {
 void encode(const DhtUpdate& msg, std::vector<std::byte>& out,
             const TraceContext* trace = nullptr, bool checksummed = false);
 void encode(const DhtUpdateBatch& msg, std::vector<std::byte>& out,
-            const TraceContext* trace = nullptr, bool checksummed = false);
-void encode(const Query& msg, std::vector<std::byte>& out,
-            const TraceContext* trace = nullptr, bool checksummed = false);
-void encode(const QueryReply& msg, std::vector<std::byte>& out,
-            const TraceContext* trace = nullptr, bool checksummed = false);
-void encode(const CollectiveQuery& msg, std::vector<std::byte>& out,
-            const TraceContext* trace = nullptr, bool checksummed = false);
-void encode(const CollectiveReply& msg, std::vector<std::byte>& out,
             const TraceContext* trace = nullptr, bool checksummed = false);
 void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
             const TraceContext* trace = nullptr, bool checksummed = false);
@@ -162,12 +118,6 @@ void encode(const ReplicaSync& msg, std::vector<std::byte>& out,
     std::span<const std::byte> datagram);
 [[nodiscard]] Result<DhtUpdate> decode_dht_update(std::span<const std::byte> datagram);
 [[nodiscard]] Result<DhtUpdateBatch> decode_dht_update_batch(
-    std::span<const std::byte> datagram);
-[[nodiscard]] Result<Query> decode_query(std::span<const std::byte> datagram);
-[[nodiscard]] Result<QueryReply> decode_query_reply(std::span<const std::byte> datagram);
-[[nodiscard]] Result<CollectiveQuery> decode_collective_query(
-    std::span<const std::byte> datagram);
-[[nodiscard]] Result<CollectiveReply> decode_collective_reply(
     std::span<const std::byte> datagram);
 [[nodiscard]] Result<ReplicaSync> decode_replica_sync(
     std::span<const std::byte> datagram);

@@ -85,9 +85,9 @@ enum class MsgDispatch : std::uint8_t {
 };
 
 /// One row of the protocol ground-truth table: how a message type binds to
-/// the rest of the system. `codec_struct` names the net::codec payload struct
-/// for types that cross real sockets (empty = emulated-fabric-only; the
-/// payload travels as a typed std::any and never needs a byte layout).
+/// the rest of the system. `codec_struct` names the net::codec struct whose
+/// byte layout the fabric charges for this type (empty = the sender computes
+/// its own wire size; every payload travels as a typed std::any either way).
 ///
 /// This table is what `concord-lint --proto` (W1) checks the tree against:
 /// every enumerator must have a row, every row's codec struct must have an
@@ -98,7 +98,7 @@ enum class MsgDispatch : std::uint8_t {
 /// the table. To add a MsgType, follow the checklist in DESIGN.md §10.
 struct MsgTypeBinding {
   MsgType type{};
-  std::string_view codec_struct;  // net::codec struct name; empty = emulated-only
+  std::string_view codec_struct;  // net::codec struct name; empty = no codec layout
   bool control_plane = false;
   MsgDispatch dispatch = MsgDispatch::kHandler;
 };
@@ -107,10 +107,10 @@ inline constexpr MsgTypeBinding kMsgTypeBindings[] = {
     {MsgType::kDhtInsert, "DhtUpdate", false, MsgDispatch::kDaemonSwitch},
     {MsgType::kDhtRemove, "DhtUpdate", false, MsgDispatch::kDaemonSwitch},
     {MsgType::kDhtUpdateBatch, "DhtUpdateBatch", false, MsgDispatch::kDaemonSwitch},
-    {MsgType::kNodeQuery, "Query", false, MsgDispatch::kHandler},
-    {MsgType::kNodeQueryReply, "QueryReply", false, MsgDispatch::kHandler},
-    {MsgType::kCollectiveRequest, "CollectiveQuery", false, MsgDispatch::kHandler},
-    {MsgType::kCollectiveReply, "CollectiveReply", false, MsgDispatch::kHandler},
+    {MsgType::kNodeQuery, "", false, MsgDispatch::kHandler},
+    {MsgType::kNodeQueryReply, "", false, MsgDispatch::kHandler},
+    {MsgType::kCollectiveRequest, "", false, MsgDispatch::kHandler},
+    {MsgType::kCollectiveReply, "", false, MsgDispatch::kHandler},
     {MsgType::kCommandControl, "", true, MsgDispatch::kHandler},
     {MsgType::kCommandHashExchange, "", false, MsgDispatch::kHandler},
     {MsgType::kCommandAck, "", true, MsgDispatch::kHandler},

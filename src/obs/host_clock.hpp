@@ -1,9 +1,9 @@
-// The one sanctioned host-clock access point outside the real-UDP transport.
+// The one sanctioned host-clock access point.
 //
 // Everything else in the tree runs on the simulation's virtual clock so runs
 // replay bit-for-bit; concord-lint (rule D1, concord-determinism) bans the
-// <chrono> clocks everywhere except this header, common/rng, src/sim, and the
-// net/udp_* transport. Code that genuinely needs to *measure* host time — the
+// <chrono> clocks everywhere except this header, the rest of src/obs,
+// common/rng and src/sim. Code that genuinely needs to *measure* host time — the
 // cost-model calibration and the "charge a local computation to virtual time"
 // pattern in the query/service engines — goes through these helpers, which
 // keeps every such site greppable and auditable.

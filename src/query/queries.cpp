@@ -215,7 +215,6 @@ QueryEngine::CollectivePartial QueryEngine::run_collective(NodeId from,
   }
 
   CollectivePartial aggregate;
-  std::size_t replies = 0;
   const sim::Time t0 = simu.now();
   sim::Time done_at = t0;
 
@@ -247,7 +246,6 @@ QueryEngine::CollectivePartial QueryEngine::run_collective(NodeId from,
         aggregate.k_count += r.partial.k_count;
         aggregate.k_hashes.insert(aggregate.k_hashes.end(), r.partial.k_hashes.begin(),
                                   r.partial.k_hashes.end());
-        ++replies;
         done_at = simu.now();
       });
 
@@ -256,7 +254,6 @@ QueryEngine::CollectivePartial QueryEngine::run_collective(NodeId from,
                             std::any(CollectiveReqMsg{req_id, query_set, k, collect_hashes}),
                             8 + set_bytes + 8 + 1, shard_nodes);
   simu.run();
-  (void)replies;
   latency = done_at - t0;
   return aggregate;
 }

@@ -106,7 +106,6 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
       by_shard[raw(cluster_.placement().owner(block_hash[b]))].push_back(b);
     }
     std::vector<std::uint32_t> holder(block_hash.size(), kNoHolder);
-    std::size_t probes_pending = by_shard.size();
     for (const auto& [shard, blocks] : by_shard) {
       auto hashes = std::make_shared<std::vector<ContentHash>>();
       hashes->reserve(blocks.size());
@@ -117,13 +116,11 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
           net::MsgType::kNodeQueryReply,
           [&, blocks_copy = blocks](core::ServiceDaemon&, const net::Message& m) {
             const auto& rep = m.as<ResidencyReply>();
-            // Replies are matched by arrival; each handler invocation
-            // consumes one probe. (Request ids disambiguate in logs.)
-            (void)rep.req_id;
+            // Replies are matched by arrival: probes are serialized below,
+            // so each handler invocation answers the probe just sent.
             for (std::size_t i = 0; i < rep.holder->size() && i < blocks_copy.size(); ++i) {
               holder[blocks_copy[i]] = (*rep.holder)[i];
             }
-            --probes_pending;
           });
       fabric.send_reliable(net::make_message(src_node, node_id(shard),
                                              net::MsgType::kNodeQuery,
@@ -131,10 +128,8 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
                                              8 + 4 + hashes->size() * sizeof(ContentHash)));
       simu.run();  // serialize probes so the single reply handler is unambiguous
     }
-    (void)probes_pending;
 
     // 3. Reconstruct locally where the DHT was right; ship the rest.
-    std::size_t shipped = 0;
     for (BlockIndex b = 0; b < src.num_blocks(); ++b) {
       ++stats.blocks_total;
       bool reconstructed = false;
@@ -171,11 +166,9 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
                                                BlockShip{req_counter++, dst_id, b, data},
                                                8 + 4 + 8 + data->size()));
         stats.wire_bytes += data->size();
-        ++shipped;
         ++stats.blocks_shipped;
       }
     }
-    (void)shipped;
     simu.run();  // drain shipments
 
     // 4. Retire the source; the new entity enters the DHT on the next

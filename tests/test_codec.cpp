@@ -1,6 +1,5 @@
-// Tests for the wire codec and the real-socket UDP DHT node: encode/decode
-// round trips, malformed-input rejection, and a genuine multi-node
-// deployment over loopback UDP.
+// Tests for the wire codec: encode/decode round trips and malformed-input
+// rejection for every layout whose size the emulated fabric charges.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,18 +8,13 @@
 #include <string_view>
 
 #include "common/rng.hpp"
-#include "dht/collective_scan.hpp"
-#include "dht/placement.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
-#include "net/udp_node.hpp"
 
 namespace concord::net {
 namespace {
 
 using codec::DhtUpdate;
-using codec::Query;
-using codec::QueryReply;
 
 TEST(Codec, DhtUpdateRoundTrip) {
   for (const bool insert : {true, false}) {
@@ -34,39 +28,6 @@ TEST(Codec, DhtUpdateRoundTrip) {
     EXPECT_EQ(back.value().entity, entity_id(42));
     EXPECT_EQ(back.value().insert, insert);
   }
-}
-
-TEST(Codec, QueryRoundTrip) {
-  for (const bool want : {true, false}) {
-    std::vector<std::byte> wire;
-    codec::encode(Query{77, {1, 2}, want}, wire);
-    const auto back = codec::decode_query(wire);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back.value().req_id, 77u);
-    EXPECT_EQ(back.value().want_entities, want);
-  }
-}
-
-TEST(Codec, QueryReplyRoundTrip) {
-  QueryReply reply;
-  reply.req_id = 9;
-  reply.num_copies = 3;
-  reply.entities = {entity_id(1), entity_id(5), entity_id(63)};
-  std::vector<std::byte> wire;
-  codec::encode(reply, wire);
-  const auto back = codec::decode_query_reply(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back.value().req_id, 9u);
-  EXPECT_EQ(back.value().num_copies, 3u);
-  EXPECT_EQ(back.value().entities, reply.entities);
-}
-
-TEST(Codec, EmptyReplyRoundTrip) {
-  std::vector<std::byte> wire;
-  codec::encode(QueryReply{1, 0, {}}, wire);
-  const auto back = codec::decode_query_reply(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back.value().entities.empty());
 }
 
 TEST(Codec, RejectsMalformedInput) {
@@ -86,9 +47,9 @@ TEST(Codec, RejectsMalformedInput) {
   EXPECT_FALSE(codec::decode_header(bad).has_value());
   EXPECT_FALSE(codec::decode_dht_update(bad).has_value());
 
-  // Type confusion: decoding an update as a query must fail.
-  EXPECT_FALSE(codec::decode_query(wire).has_value());
-  EXPECT_FALSE(codec::decode_query_reply(wire).has_value());
+  // Type confusion: a single update is neither a batch nor a re-sync chunk.
+  EXPECT_FALSE(codec::decode_dht_update_batch(wire).has_value());
+  EXPECT_FALSE(codec::decode_replica_sync(wire).has_value());
 }
 
 TEST(Codec, DhtUpdateBatchRoundTrip) {
@@ -290,231 +251,6 @@ TEST(Codec, FuzzedBytesNeverDecode) {
   EXPECT_EQ(decoded, 0);  // magic + version + exact length gate random junk
 }
 
-TEST(UdpDhtNode, UpdatesAndQueriesOverRealSockets) {
-  // A 3-shard deployment on loopback plus one client, the real data path.
-  constexpr std::uint32_t kEntities = 16;
-  UdpDhtNode nodes[3] = {UdpDhtNode(kEntities), UdpDhtNode(kEntities),
-                         UdpDhtNode(kEntities)};
-  std::uint16_t ports[3];
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ok(nodes[i].start()));
-    ports[i] = nodes[i].port();
-  }
-  UdpEndpoint client;
-  ASSERT_TRUE(ok(client.bind()));
-
-  // Zero-hop placement by hash, as the monitors do.
-  const dht::Placement placement(3);
-  std::vector<ContentHash> hashes;
-  for (std::uint64_t i = 0; i < 60; ++i) {
-    ContentHash h{i * 0x9e3779b97f4a7c15ULL, i};
-    hashes.push_back(h);
-    const auto owner = raw(placement.owner(h));
-    ASSERT_TRUE(ok(UdpDhtNode::send_update(
-        client, ports[owner],
-        DhtUpdate{h, entity_id(static_cast<std::uint32_t>(i % kEntities)), true})));
-  }
-  for (auto& n : nodes) n.poll_all();
-
-  std::size_t stored = 0;
-  for (auto& n : nodes) stored += n.store().unique_hashes();
-  EXPECT_EQ(stored, 60u);  // loopback does not lose datagrams in practice
-
-  // Node-wise query round trip with entity decode.
-  const ContentHash h = hashes[7];
-  const auto owner = raw(placement.owner(h));
-  // The node must be polling to answer; interleave client send + node poll.
-  std::vector<std::byte> wire;
-  codec::encode(Query{123, h, true}, wire);
-  ASSERT_TRUE(ok(client.send_to(ports[owner], wire)));
-  nodes[owner].poll_all();
-  const auto got = client.recv(1000);
-  ASSERT_TRUE(got.has_value());
-  const auto reply = codec::decode_query_reply(got.value());
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply.value().req_id, 123u);
-  EXPECT_EQ(reply.value().num_copies, 1u);
-  ASSERT_EQ(reply.value().entities.size(), 1u);
-  EXPECT_EQ(reply.value().entities[0], entity_id(7));
-
-  // Remove and re-query.
-  ASSERT_TRUE(ok(UdpDhtNode::send_update(client, ports[owner],
-                                         DhtUpdate{h, entity_id(7), false})));
-  nodes[owner].poll_all();
-  codec::encode(Query{124, h, false}, wire = {});
-  ASSERT_TRUE(ok(client.send_to(ports[owner], wire)));
-  nodes[owner].poll_all();
-  const auto got2 = client.recv(1000);
-  ASSERT_TRUE(got2.has_value());
-  const auto reply2 = codec::decode_query_reply(got2.value());
-  ASSERT_TRUE(reply2.has_value());
-  EXPECT_EQ(reply2.value().num_copies, 0u);
-}
-
-TEST(UdpDhtNode, BatchedUpdatesOverRealSockets) {
-  constexpr std::uint32_t kEntities = 16;
-  UdpDhtNode node(kEntities);
-  ASSERT_TRUE(ok(node.start()));
-  UdpEndpoint client;
-  ASSERT_TRUE(ok(client.bind()));
-
-  // One MTU-full batch: 68 inserts for distinct hashes.
-  codec::DhtUpdateBatch batch;
-  for (std::uint64_t i = 0; i < 68; ++i) {
-    batch.records.push_back(DhtUpdate{{i + 1, i * 3 + 1},
-                                      entity_id(static_cast<std::uint32_t>(i % kEntities)),
-                                      true});
-  }
-  ASSERT_TRUE(ok(UdpDhtNode::send_update_batch(client, node.port(), batch)));
-  node.poll_all();
-  EXPECT_EQ(node.store().unique_hashes(), 68u);
-  EXPECT_EQ(node.stats().updates_applied, 68u);
-  EXPECT_EQ(node.stats().malformed_dropped, 0u);
-
-  // A batch mixing good records with an out-of-range entity id: the bad
-  // record is skipped and counted, the good ones still apply.
-  codec::DhtUpdateBatch mixed;
-  mixed.records.push_back(DhtUpdate{{100, 1}, entity_id(2), true});
-  mixed.records.push_back(DhtUpdate{{101, 1}, entity_id(kEntities), true});  // out of range
-  mixed.records.push_back(DhtUpdate{{102, 1}, entity_id(3), true});
-  ASSERT_TRUE(ok(UdpDhtNode::send_update_batch(client, node.port(), mixed)));
-  node.poll_all();
-  EXPECT_EQ(node.store().unique_hashes(), 70u);
-  EXPECT_EQ(node.stats().malformed_dropped, 1u);
-  EXPECT_FALSE(node.store().contains(ContentHash{101, 1}, entity_id(2)));
-
-  // Removes travel in batches too; insert+remove for one hash in a single
-  // batch cancels out (arrival order is preserved through apply_batch).
-  codec::DhtUpdateBatch removes;
-  removes.records.push_back(DhtUpdate{{100, 1}, entity_id(2), false});
-  removes.records.push_back(DhtUpdate{{200, 1}, entity_id(4), true});
-  removes.records.push_back(DhtUpdate{{200, 1}, entity_id(4), false});
-  ASSERT_TRUE(ok(UdpDhtNode::send_update_batch(client, node.port(), removes)));
-  node.poll_all();
-  EXPECT_EQ(node.store().num_entities(ContentHash{100, 1}), 0u);
-  EXPECT_EQ(node.store().num_entities(ContentHash{200, 1}), 0u);
-}
-
-TEST(UdpDhtNode, MalformedDatagramsAreCountedAndDropped) {
-  UdpDhtNode node(8);
-  ASSERT_TRUE(ok(node.start()));
-  UdpEndpoint client;
-  ASSERT_TRUE(ok(client.bind()));
-
-  const std::string junk = "not a concord datagram";
-  ASSERT_TRUE(ok(client.send_to(node.port(),
-                                std::as_bytes(std::span(junk.data(), junk.size())))));
-  // An update naming an out-of-range entity must be dropped, not crash.
-  std::vector<std::byte> wire;
-  codec::encode(DhtUpdate{{1, 2}, entity_id(5000), true}, wire);
-  ASSERT_TRUE(ok(client.send_to(node.port(), wire)));
-
-  node.poll_all();
-  EXPECT_EQ(node.stats().malformed_dropped, 2u);
-  EXPECT_EQ(node.stats().updates_applied, 0u);
-  EXPECT_EQ(node.store().unique_hashes(), 0u);
-}
-
-
-TEST(Codec, CollectiveQueryRoundTrip) {
-  codec::CollectiveQuery q;
-  q.req_id = 42;
-  q.k = 3;
-  q.collect_hashes = true;
-  q.scope_words = {0xdeadbeefULL, 0x1ULL};
-  std::vector<std::byte> wire;
-  codec::encode(q, wire);
-  const auto back = codec::decode_collective_query(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back.value().req_id, 42u);
-  EXPECT_EQ(back.value().k, 3u);
-  EXPECT_TRUE(back.value().collect_hashes);
-  EXPECT_EQ(back.value().scope_words, q.scope_words);
-}
-
-TEST(Codec, CollectiveReplyRoundTrip) {
-  codec::CollectiveReply r;
-  r.req_id = 8;
-  r.total = 100;
-  r.unique = 60;
-  r.intra = 10;
-  r.inter = 30;
-  r.k_count = 2;
-  r.k_hashes = {{1, 2}, {3, 4}};
-  std::vector<std::byte> wire;
-  codec::encode(r, wire);
-  const auto back = codec::decode_collective_reply(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back.value().total, 100u);
-  EXPECT_EQ(back.value().inter, 30u);
-  EXPECT_EQ(back.value().k_hashes, r.k_hashes);
-}
-
-TEST(UdpDhtNode, CollectiveQueryOverRealSocketsMatchesLocalScan) {
-  // One shard node answering a collective slice over the wire must agree
-  // with running the shared kernel locally on the same store.
-  constexpr std::uint32_t kEntities = 8;
-  UdpDhtNode node(kEntities);
-  ASSERT_TRUE(ok(node.start()));
-  // Membership: entities 0-3 on node 0, 4-7 on node 1.
-  std::vector<std::uint32_t> hosts = {0, 0, 0, 0, 1, 1, 1, 1};
-  node.set_entity_hosts(hosts);
-
-  Rng rng(12);
-  for (int i = 0; i < 200; ++i) {
-    const ContentHash h{rng(), rng()};
-    node.store().insert(h, entity_id(static_cast<std::uint32_t>(rng.below(kEntities))));
-    if (rng.chance(0.3)) {
-      node.store().insert(h, entity_id(static_cast<std::uint32_t>(rng.below(kEntities))));
-    }
-  }
-
-  Bitmap scope(kEntities);
-  for (std::uint32_t i = 0; i < kEntities; ++i) scope.set(i);
-  const dht::ScanPartial want =
-      dht::collective_scan(node.store(), scope, hosts, 2, /*collect=*/true);
-
-  UdpEndpoint client;
-  ASSERT_TRUE(ok(client.bind()));
-  codec::CollectiveQuery q;
-  q.req_id = 5;
-  q.k = 2;
-  q.collect_hashes = true;
-  q.scope_words = {scope.word(0)};
-
-  // Single-threaded node: send, let it answer, then read the reply.
-  std::vector<std::byte> wire;
-  codec::encode(q, wire);
-  ASSERT_TRUE(ok(client.send_to(node.port(), wire)));
-  node.poll_all();
-  const auto got = client.recv(1000);
-  ASSERT_TRUE(got.has_value());
-  const auto reply = codec::decode_collective_reply(got.value());
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply.value().total, want.total);
-  EXPECT_EQ(reply.value().unique, want.unique);
-  EXPECT_EQ(reply.value().intra, want.intra);
-  EXPECT_EQ(reply.value().inter, want.inter);
-  EXPECT_EQ(reply.value().k_count, want.k_count);
-  EXPECT_EQ(reply.value().k_hashes.size(), want.k_hashes.size());
-}
-
-TEST(UdpDhtNode, CollectiveQueryWithoutMembershipIsDropped) {
-  UdpDhtNode node(8);
-  ASSERT_TRUE(ok(node.start()));
-  UdpEndpoint client;
-  ASSERT_TRUE(ok(client.bind()));
-  codec::CollectiveQuery q;
-  q.req_id = 1;
-  q.scope_words = {0xff};
-  std::vector<std::byte> wire;
-  codec::encode(q, wire);
-  ASSERT_TRUE(ok(client.send_to(node.port(), wire)));
-  node.poll_all();
-  EXPECT_EQ(node.stats().malformed_dropped, 1u);
-  EXPECT_FALSE(client.recv(50).has_value());  // no reply
-}
-
 // ------------------------------------------------- trace context (traced flag)
 
 TEST(Codec, UntracedBytesAreByteIdenticalToVersion1) {
@@ -583,38 +319,16 @@ TEST(Codec, TracedDatagramsRoundTripEveryType) {
   ASSERT_EQ(batch_back.value().records.size(), 2u);
   EXPECT_EQ(batch_back.value().records[1].hash, (ContentHash{9, 10}));
 
-  const Query q{77, {5, 6}, true};
+  codec::ReplicaSync rs;
+  rs.home = 1;
+  rs.epoch = 2;
+  rs.last = true;
+  rs.records = {{{3, 4}, entity_id(5), true}};
   wire.clear(), plain.clear();
-  codec::encode(q, wire, &ctx);
-  codec::encode(q, plain);
+  codec::encode(rs, wire, &ctx);
+  codec::encode(rs, plain);
   check_ctx(wire, plain);
-  EXPECT_EQ(codec::decode_query(wire).value().req_id, 77u);
-
-  const QueryReply qr{9, 3, {entity_id(1), entity_id(5)}};
-  wire.clear(), plain.clear();
-  codec::encode(qr, wire, &ctx);
-  codec::encode(qr, plain);
-  check_ctx(wire, plain);
-  EXPECT_EQ(codec::decode_query_reply(wire).value().entities, qr.entities);
-
-  codec::CollectiveQuery cq;
-  cq.req_id = 4;
-  cq.scope_words = {0xff, 0x01};
-  wire.clear(), plain.clear();
-  codec::encode(cq, wire, &ctx);
-  codec::encode(cq, plain);
-  check_ctx(wire, plain);
-  EXPECT_EQ(codec::decode_collective_query(wire).value().scope_words, cq.scope_words);
-
-  codec::CollectiveReply cr;
-  cr.req_id = 5;
-  cr.unique = 11;
-  cr.k_hashes = {{1, 2}};
-  wire.clear(), plain.clear();
-  codec::encode(cr, wire, &ctx);
-  codec::encode(cr, plain);
-  check_ctx(wire, plain);
-  EXPECT_EQ(codec::decode_collective_reply(wire).value().unique, 11u);
+  EXPECT_EQ(codec::decode_replica_sync(wire).value().home, 1u);
 }
 
 TEST(Codec, TracedTruncationNeverDecodes) {
@@ -677,26 +391,6 @@ const TruncFixture kTruncFixtures[] = {
       b.records = {{{1, 2}, entity_id(3), true}, {{4, 5}, entity_id(6), false}};
       return b;
     }()),
-    CONCORD_TRUNC_FIXTURE(Query, decode_query, Query{7, {8, 9}, true}),
-    CONCORD_TRUNC_FIXTURE(QueryReply, decode_query_reply,
-                          QueryReply{9, 2, {entity_id(1), entity_id(4)}}),
-    CONCORD_TRUNC_FIXTURE(CollectiveQuery, decode_collective_query, [] {
-      codec::CollectiveQuery q;
-      q.req_id = 11;
-      q.k = 2;
-      q.collect_hashes = true;
-      q.scope_words = {0xff, 0x1};
-      return q;
-    }()),
-    CONCORD_TRUNC_FIXTURE(CollectiveReply, decode_collective_reply, [] {
-      codec::CollectiveReply r;
-      r.req_id = 12;
-      r.total = 5;
-      r.unique = 4;
-      r.k_count = 1;
-      r.k_hashes = {{6, 7}};
-      return r;
-    }()),
     CONCORD_TRUNC_FIXTURE(ReplicaSync, decode_replica_sync, [] {
       codec::ReplicaSync s;
       s.home = 1;
@@ -754,39 +448,6 @@ TEST(Codec, ChecksummedRoundTripEveryType) {
   check(wire, plain);
   ASSERT_TRUE(codec::decode_dht_update_batch(wire).has_value());
   EXPECT_EQ(codec::decode_dht_update_batch(wire).value().records.size(), 2u);
-
-  const Query q{77, {5, 6}, true};
-  wire.clear(), plain.clear();
-  codec::encode(q, wire, nullptr, true);
-  codec::encode(q, plain);
-  check(wire, plain);
-  EXPECT_EQ(codec::decode_query(wire).value().req_id, 77u);
-
-  const QueryReply qr{9, 3, {entity_id(1), entity_id(5)}};
-  wire.clear(), plain.clear();
-  codec::encode(qr, wire, nullptr, true);
-  codec::encode(qr, plain);
-  check(wire, plain);
-  EXPECT_EQ(codec::decode_query_reply(wire).value().entities, qr.entities);
-
-  codec::CollectiveQuery cq;
-  cq.req_id = 4;
-  cq.scope_words = {0xff, 0x01};
-  wire.clear(), plain.clear();
-  codec::encode(cq, wire, nullptr, true);
-  codec::encode(cq, plain);
-  check(wire, plain);
-  EXPECT_EQ(codec::decode_collective_query(wire).value().scope_words, cq.scope_words);
-
-  codec::CollectiveReply cr;
-  cr.req_id = 5;
-  cr.unique = 11;
-  cr.k_hashes = {{1, 2}};
-  wire.clear(), plain.clear();
-  codec::encode(cr, wire, nullptr, true);
-  codec::encode(cr, plain);
-  check(wire, plain);
-  EXPECT_EQ(codec::decode_collective_reply(wire).value().unique, 11u);
 
   codec::ReplicaSync rs;
   rs.home = 1;
@@ -880,26 +541,6 @@ const CorruptFixture kCorruptFixtures[] = {
       b.records = {{{1, 2}, entity_id(3), true}, {{4, 5}, entity_id(6), false}};
       return b;
     }()),
-    CONCORD_CORRUPT_FIXTURE(Query, decode_query, Query{7, {8, 9}, true}),
-    CONCORD_CORRUPT_FIXTURE(QueryReply, decode_query_reply,
-                            QueryReply{9, 2, {entity_id(1), entity_id(4)}}),
-    CONCORD_CORRUPT_FIXTURE(CollectiveQuery, decode_collective_query, [] {
-      codec::CollectiveQuery q;
-      q.req_id = 11;
-      q.k = 2;
-      q.collect_hashes = true;
-      q.scope_words = {0xff, 0x1};
-      return q;
-    }()),
-    CONCORD_CORRUPT_FIXTURE(CollectiveReply, decode_collective_reply, [] {
-      codec::CollectiveReply r;
-      r.req_id = 12;
-      r.total = 5;
-      r.unique = 4;
-      r.k_count = 1;
-      r.k_hashes = {{6, 7}};
-      return r;
-    }()),
     CONCORD_CORRUPT_FIXTURE(ReplicaSync, decode_replica_sync, [] {
       codec::ReplicaSync s;
       s.home = 1;
@@ -956,8 +597,9 @@ TEST(Codec, BindingTableCoversEveryMsgType) {
 
 // ------------------------------------------------- version byte flag bits
 
-/// Offset of the version byte (after the 4-byte magic).
+/// Offsets of the version byte (after the 4-byte magic) and the type byte.
 constexpr std::size_t kVersionOffset = 4;
+constexpr std::size_t kTypeOffset = 5;
 
 /// One wire type's sample message: `encode` emits it under the given legs;
 /// `reencode` decodes a datagram and encodes the result under the same legs
@@ -990,16 +632,6 @@ FlagCase flag_case(std::string_view name, Msg msg, Decode decode) {
 std::vector<FlagCase> flag_cases() {
   codec::DhtUpdateBatch batch;
   batch.records = {{{7, 8}, entity_id(1), true}, {{9, 10}, entity_id(2), false}};
-  codec::CollectiveQuery cq;
-  cq.req_id = 4;
-  cq.k = 2;
-  cq.collect_hashes = true;
-  cq.scope_words = {0xff, 0x01};
-  codec::CollectiveReply cr;
-  cr.req_id = 5;
-  cr.total = 9;
-  cr.unique = 11;
-  cr.k_hashes = {{1, 2}};
   codec::ReplicaSync rs;
   rs.home = 1;
   rs.epoch = 2;
@@ -1008,12 +640,6 @@ std::vector<FlagCase> flag_cases() {
   return {
       flag_case("insert", DhtUpdate{{1, 2}, entity_id(3), true}, codec::decode_dht_update),
       flag_case("remove", DhtUpdate{{1, 2}, entity_id(3), false}, codec::decode_dht_update),
-      flag_case("num_copies_query", Query{77, {5, 6}, false}, codec::decode_query),
-      flag_case("entities_query", Query{78, {5, 6}, true}, codec::decode_query),
-      flag_case("query_reply", QueryReply{9, 3, {entity_id(1), entity_id(5)}},
-                codec::decode_query_reply),
-      flag_case("collective_query", cq, codec::decode_collective_query),
-      flag_case("collective_reply", cr, codec::decode_collective_reply),
       flag_case("update_batch", batch, codec::decode_dht_update_batch),
       flag_case("replica_sync", rs, codec::decode_replica_sync),
   };
@@ -1067,6 +693,28 @@ TEST(Codec, UnknownVersionBitsAreRejected) {
         EXPECT_TRUE(fc.reencode(no_base, trace, checksummed).empty());
       }
     }
+  }
+}
+
+TEST(Codec, RetiredWireTypesAreRejected) {
+  // Type bytes 3-7 once named node-wise and collective query datagrams. A
+  // header carrying one, valid in every other field, must be rejected; the
+  // same header with a live type byte decodes, so only the type is at fault.
+  std::vector<std::byte> wire;
+  codec::encode(DhtUpdate{{1, 2}, entity_id(3), true}, wire);
+  const auto with_type = [&](unsigned type) {
+    std::vector<std::byte> out = wire;
+    out[kTypeOffset] = static_cast<std::byte>(type);
+    return out;
+  };
+  for (const unsigned live : {1u, 2u, 8u, 9u}) {
+    EXPECT_TRUE(codec::decode_header(with_type(live)).has_value()) << "type " << live;
+  }
+  for (unsigned retired = 3; retired <= 7; ++retired) {
+    EXPECT_FALSE(codec::decode_header(with_type(retired)).has_value()) << "type " << retired;
+  }
+  for (const unsigned unknown : {0u, 10u, 255u}) {
+    EXPECT_FALSE(codec::decode_header(with_type(unknown)).has_value()) << "type " << unknown;
   }
 }
 

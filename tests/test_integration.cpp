@@ -1,12 +1,10 @@
 // Integration tests: the full ConCORD lifecycle across a multi-node cluster
 // — boot, scan, query, service command, checkpoint, churn, re-checkpoint,
-// migration, reconstruction — plus a real-socket UDP update round trip.
+// migration, reconstruction.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 
-#include "net/udp_transport.hpp"
 #include "query/queries.hpp"
 #include "services/collective_checkpoint.hpp"
 #include "services/migration.hpp"
@@ -133,43 +131,6 @@ TEST(Integration, ThrottledMonitorsEventuallyConverge) {
   }
   EXPECT_EQ(cluster.total_unique_hashes(), 4u * 64u);
   EXPECT_GE(epochs, 3u);
-}
-
-TEST(Integration, DhtUpdateOverRealUdpSockets) {
-  // Serialize a ConCORD DHT update, push it through a real loopback UDP
-  // socket, decode it on the other side, and apply it to a DhtStore — the
-  // deployed system's exact data path in miniature.
-  net::UdpEndpoint monitor_side, daemon_side;
-  ASSERT_TRUE(ok(monitor_side.bind()));
-  ASSERT_TRUE(ok(daemon_side.bind()));
-
-  const ContentHash h{0x1122334455667788ULL, 0x99aabbccddeeff00ULL};
-  const EntityId entity = entity_id(5);
-
-  // Wire format: hash.hi, hash.lo, entity, op — little-endian, 21 bytes.
-  std::vector<std::byte> wire(21);
-  std::memcpy(wire.data(), &h.hi, 8);
-  std::memcpy(wire.data() + 8, &h.lo, 8);
-  const std::uint32_t eid = raw(entity);
-  std::memcpy(wire.data() + 16, &eid, 4);
-  wire[20] = std::byte{1};  // insert
-  ASSERT_TRUE(ok(monitor_side.send_to(daemon_side.port(), wire)));
-
-  const auto got = daemon_side.recv(1000);
-  ASSERT_TRUE(got.has_value());
-  ASSERT_EQ(got.value().size(), 21u);
-
-  ContentHash decoded;
-  std::uint32_t decoded_eid = 0;
-  std::memcpy(&decoded.hi, got.value().data(), 8);
-  std::memcpy(&decoded.lo, got.value().data() + 8, 8);
-  std::memcpy(&decoded_eid, got.value().data() + 16, 4);
-  const bool insert = got.value()[20] == std::byte{1};
-
-  dht::DhtStore store(16, dht::AllocMode::kPool);
-  ASSERT_TRUE(insert);
-  store.insert(decoded, entity_id(decoded_eid));
-  EXPECT_TRUE(store.contains(h, entity));
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the simulation core and the emulated network fabric,
-// plus the real-socket UDP transport.
+// Tests for the simulation core and the emulated network fabric.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +7,6 @@
 
 #include "core/cluster.hpp"
 #include "net/fabric.hpp"
-#include "net/udp_transport.hpp"
 #include "sim/simulation.hpp"
 #include "workload/workloads.hpp"
 
@@ -387,45 +385,6 @@ TEST_F(FabricFixture, PerLinkLossStacksOnGlobalRate) {
   EXPECT_NEAR(delivered, 0.4, 0.03);
   fabric.set_link_loss(node_id(0), node_id(1), 0.0);
   EXPECT_DOUBLE_EQ(fabric.link_loss(node_id(0), node_id(1)), 0.0);
-}
-
-TEST(UdpTransport, LoopbackRoundTrip) {
-  net::UdpEndpoint a, b;
-  ASSERT_TRUE(ok(a.bind()));
-  ASSERT_TRUE(ok(b.bind()));
-  ASSERT_NE(a.port(), 0);
-  ASSERT_NE(b.port(), 0);
-
-  const std::string payload = "concord-over-real-udp";
-  ASSERT_TRUE(ok(a.send_to(b.port(), std::as_bytes(std::span(payload.data(), payload.size())))));
-  const auto got = b.recv(1000);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(got.value().data()), got.value().size()),
-            payload);
-}
-
-TEST(UdpTransport, RecvTimesOutWhenIdle) {
-  net::UdpEndpoint a;
-  ASSERT_TRUE(ok(a.bind()));
-  const auto got = a.recv(10);
-  EXPECT_FALSE(got.has_value());
-  EXPECT_EQ(got.status(), Status::kTimeout);
-}
-
-TEST(UdpTransport, UnboundEndpointRefusesIo) {
-  net::UdpEndpoint a;
-  EXPECT_EQ(a.send_to(9, {}), Status::kUnavailable);
-  EXPECT_EQ(a.recv(0).status(), Status::kUnavailable);
-}
-
-TEST(UdpTransport, MoveTransfersOwnership) {
-  net::UdpEndpoint a;
-  ASSERT_TRUE(ok(a.bind()));
-  const std::uint16_t port = a.port();
-  net::UdpEndpoint b = std::move(a);
-  EXPECT_EQ(b.port(), port);
-  EXPECT_TRUE(b.is_bound());
-  EXPECT_FALSE(a.is_bound());  // NOLINT(bugprone-use-after-move) — testing the moved-from state
 }
 
 // ---------------------------------------------------------------------------

@@ -90,10 +90,10 @@ constexpr BannedSource kBanned[] = {
 };
 
 /// Files allowed to touch real time / real entropy: the seeded RNG itself,
-/// the obs layer (owns the virtual-clock <-> host-clock boundary), the sim
-/// virtual clock, and the real-UDP transport (genuinely wall-clock-driven).
+/// the obs layer (owns the virtual-clock <-> host-clock boundary) and the sim
+/// virtual clock.
 constexpr std::string_view kDeterminismAllowlist[] = {
-    "common/rng", "src/obs/", "obs/host_clock", "src/sim/", "net/udp_",
+    "common/rng", "src/obs/", "obs/host_clock", "src/sim/",
 };
 
 void check_determinism(SourceFile& src, std::vector<Finding>& out) {

@@ -15,8 +15,7 @@
 //   * a dispatch site matching the row's claim: a `case MsgType::kX` in
 //     core/service_daemon.cpp (kDaemonSwitch), a set_handler(MsgType::kX...)
 //     registration anywhere in src (kHandler), or — for kSink — neither,
-//   * per-type tables in net/fabric.hpp sized by kNumMsgTypes, and a
-//     kMaxWireType constant matching the largest WireType enumerator.
+//   * per-type tables in net/fabric.hpp sized by kNumMsgTypes.
 //
 // W2 (concord-proto-metric) builds the catalog of every obs::Registry cell
 // the tree creates — counter("sub", "name") literals, "prefix." + expr
@@ -488,46 +487,6 @@ void check_wire(ProtoTree& tree, std::vector<Finding>& out) {
                "per-type table is not sized by kNumMsgTypes; a new MsgType will "
                    "index out of bounds",
                out);
-      }
-    }
-  }
-
-  // kMaxWireType must equal the largest WireType enumerator.
-  if (tree.codec_hpp != nullptr) {
-    SourceFile& ch = *tree.codec_hpp;
-    const std::string& code = ch.code;
-    const std::size_t at = code.find("enum class WireType");
-    if (at != std::string::npos) {
-      const std::size_t open = code.find('{', at);
-      const std::size_t past =
-          open == std::string::npos ? std::string::npos : skip_balanced(code, open, '{', '}');
-      long max_val = -1;
-      if (past != std::string::npos) {
-        for (std::size_t i = code.find('=', open); i != std::string::npos && i < past;
-             i = code.find('=', i + 1)) {
-          const std::size_t d = skip_ws_fwd(code, i + 1);
-          if (d < past && std::isdigit(static_cast<unsigned char>(code[d])) != 0) {
-            max_val = std::max(max_val, std::strtol(code.c_str() + d, nullptr, 10));
-          }
-        }
-      }
-      const std::size_t km = code.find("kMaxWireType");
-      if (km != std::string::npos && max_val >= 0) {
-        const std::size_t eq = code.find('=', km);
-        long declared = -1;
-        if (eq != std::string::npos) {
-          const std::size_t d = skip_ws_fwd(code, eq + 1);
-          if (d < code.size() && std::isdigit(static_cast<unsigned char>(code[d])) != 0) {
-            declared = std::strtol(code.c_str() + d, nullptr, 10);
-          }
-        }
-        if (declared != max_val) {
-          report(ch, km, Rule::kProtoWire,
-                 "kMaxWireType = " + std::to_string(declared) + " but the largest "
-                     "WireType enumerator is " + std::to_string(max_val) +
-                     "; header validation will reject (or silently admit) types",
-                 out);
-        }
       }
     }
   }
