@@ -1,8 +1,7 @@
 // Clang thread-safety annotations (C1, DESIGN.md §10).
 //
-// PR 7 introduced real host threads (sim::WorkerPool, lazy registry cells
-// first-fired from scan workers); TSan only catches the races a given seed
-// happens to execute. These macros map onto clang's `-Wthread-safety`
+// The scan epochs run on real host threads (sim::WorkerPool); TSan only
+// catches the races a given seed happens to execute. These macros map onto clang's `-Wthread-safety`
 // attributes so the lock discipline is checked at compile time on the clang
 // CI lane, and expand to nothing under gcc (which has no equivalent). The
 // companion concord-lint rule D5 requires every mutex-adjacent member in

@@ -17,7 +17,7 @@ namespace concord::core {
 Cluster::Cluster(ClusterParams params)
     : params_(params),
       sim_(params.seed),
-      blackbox_(metrics_, params.num_nodes, params.blackbox_capacity),
+      blackbox_(metrics_, params.num_nodes),
       watchdog_(metrics_),
       fabric_(sim_, params.fabric, &metrics_),
       placement_(params.single_node_dht ? 1 : params.num_nodes),
@@ -29,7 +29,10 @@ Cluster::Cluster(ClusterParams params)
   fabric_.bind_tracer(&tracer_);
   fabric_.set_trace_propagation(params.trace_propagation);
   daemons_.reserve(params_.num_nodes);
+  scan_cost_cells_.reserve(params_.num_nodes);
   for (std::uint32_t n = 0; n < params_.num_nodes; ++n) {
+    scan_cost_cells_.push_back(
+        &metrics_.histogram("mem", "scan_cost_ns", static_cast<std::int32_t>(n)));
     daemons_.push_back(std::make_unique<ServiceDaemon>(
         node_id(n), params_.max_entities, params_.alloc_mode, placement_, fabric_,
         hash::BlockHasher(params_.hash_algorithm), params_.detect_mode,
@@ -137,8 +140,7 @@ Cluster::Cluster(ClusterParams params)
     }
   });
   if (params_.pressure.enabled) {
-    pressure_ = std::make_unique<PressureController>(fabric_, params_.pressure);
-    for (auto& d : daemons_) pressure_->attach(*d);
+    pressure_ = std::make_unique<PressureController>(fabric_, params_.pressure, daemons_);
   }
   watchdog_.set_hard_fail(params.watchdog.hard_fail);
   watchdog_.on_violation([this](const obs::Watchdog::Finding& f) {
@@ -149,14 +151,15 @@ Cluster::Cluster(ClusterParams params)
 }
 
 void Cluster::install_invariants() {
-  // PR-5 conservation identity, valid at quiescent points (scan boundaries,
+  // Conservation identity, valid at quiescent points (scan boundaries,
   // after sim().run()): every datagram counted sent was received, dropped in
   // flight, shed at a full ingress queue, blackholed mid-flight, dropped as
   // checksum-corrupt at the receiver, or was a completed ack (counted sent
   // but consumed by the reliable protocol, never "received"). Loopback
   // deliveries are received without ever being sent, and duplicates are
   // received (or shed/blackholed — they're counted at manufacture) without
-  // being sent, hence the two corrections.
+  // being sent, hence the two corrections. Every term is a "net" cell, so
+  // Fabric::reset_traffic zeroes all of them together.
   watchdog_.add_invariant("net_conservation", [this]() -> std::optional<std::string> {
     const std::uint64_t sent = metrics_.counter_total("net", "msgs_sent");
     const std::uint64_t received = metrics_.counter_total("net", "msgs_received");
@@ -165,9 +168,9 @@ void Cluster::install_invariants() {
     const std::uint64_t inflight =
         metrics_.counter_total("net", "msgs_blackholed_inflight");
     const std::uint64_t corrupt = metrics_.counter_total("net", "msgs_corrupt_dropped");
-    const std::uint64_t acks = fabric_.acks_completed();
-    const std::uint64_t loopback = fabric_.loopback_delivered();
-    const std::uint64_t duplicated = fabric_.duplicates_delivered();
+    const std::uint64_t acks = metrics_.counter_total("net", "acks_completed");
+    const std::uint64_t loopback = metrics_.counter_total("net", "loopback_delivered");
+    const std::uint64_t duplicated = metrics_.counter_total("net", "msgs_duplicated");
     const std::uint64_t rhs =
         received - loopback - duplicated + dropped + shed + inflight + corrupt + acks;
     if (sent == rhs) return std::nullopt;
@@ -313,9 +316,7 @@ mem::ScanStats Cluster::scan_all() {
     tracer_.add_arg(span, "inserts", s.inserts_emitted);
     tracer_.add_arg(span, "removes", s.removes_emitted);
     tracer_.end_span(span, sim_.now() + scan_cost);
-    metrics_
-        .histogram("mem", "scan_cost_ns", static_cast<std::int32_t>(raw(live[i]->id())))
-        .record(static_cast<std::uint64_t>(scan_cost));
+    scan_cost_cells_[raw(live[i]->id())]->record(static_cast<std::uint64_t>(scan_cost));
     total.blocks_examined += s.blocks_examined;
     total.blocks_hashed += s.blocks_hashed;
     total.bytes_hashed += s.bytes_hashed;

@@ -72,8 +72,7 @@ struct ClusterParams {
   DetectorParams detector;
   /// Overload protection: when .enabled, every daemon runs credit-based flow
   /// control and the PressureController adapts monitor budgets and flush
-  /// quotas each scan epoch. Off by default — unpressured runs keep their
-  /// metric/trace snapshots byte-identical.
+  /// quotas each scan epoch. Off by default; its cells read zero when off.
   PressureParams pressure;
   /// Causal tracing: when true the fabric stamps every datagram from the
   /// sender's ambient trace context (commands, scans), charges the
@@ -81,8 +80,6 @@ struct ClusterParams {
   /// delivery in the tracer. Off by default — wire bytes and trace/metric
   /// snapshots stay byte-identical to pre-tracing builds.
   bool trace_propagation = false;
-  /// Per-node flight-recorder ring capacity (events kept per node).
-  std::size_t blackbox_capacity = obs::FlightRecorder::kDefaultCapacity;
   /// Invariant watchdog (off by default; see WatchdogParams).
   WatchdogParams watchdog;
 };
@@ -215,6 +212,7 @@ class Cluster {
   std::unique_ptr<sim::WorkerPool> scan_pool_;  // lazily built for sim_workers > 1
   std::vector<std::unique_ptr<ServiceDaemon>> daemons_;
   std::vector<std::unique_ptr<mem::MemoryEntity>> entities_;
+  std::vector<obs::Histogram*> scan_cost_cells_;  // mem/scan_cost_ns, by node
   // Previous epoch's alive view, diffed by the replica dirty-marking epoch
   // listener to find nodes that just (re)joined a shard's group. Unused
   // (empty) at R = 1.

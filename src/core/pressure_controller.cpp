@@ -8,18 +8,24 @@
 
 namespace concord::core {
 
-void PressureController::attach(ServiceDaemon& daemon) {
-  daemon.batcher().set_flow_control(true, params_.initial_credits);
-  daemon.set_credit_grants(true);
+PressureController::PressureController(
+    net::Fabric& fabric, PressureParams params,
+    const std::vector<std::unique_ptr<ServiceDaemon>>& daemons)
+    : fabric_(fabric), params_(params) {
   obs::Registry& r = fabric_.metrics();
-  const auto node = static_cast<std::int32_t>(raw(daemon.id()));
-  tracked_.push_back(Tracked{.daemon = &daemon,
-                             .budget = params_.initial_update_budget,
-                             .quota = params_.initial_flush_quota,
-                             .budget_gauge = &r.gauge("core", "update_budget", node),
-                             .quota_gauge = &r.gauge("core", "flush_quota", node),
-                             .credits_gauge = &r.gauge("core", "flow_credits", node)});
-  apply(tracked_.back());
+  tracked_.reserve(daemons.size());
+  for (const auto& daemon : daemons) {
+    daemon->batcher().set_flow_control(true, params_.initial_credits);
+    daemon->set_credit_grants(true);
+    const auto node = static_cast<std::int32_t>(raw(daemon->id()));
+    tracked_.push_back(Tracked{.daemon = daemon.get(),
+                               .budget = params_.initial_update_budget,
+                               .quota = params_.initial_flush_quota,
+                               .budget_gauge = &r.gauge("core", "update_budget", node),
+                               .quota_gauge = &r.gauge("core", "flush_quota", node),
+                               .credits_gauge = &r.gauge("core", "flow_credits", node)});
+    apply(tracked_.back());
+  }
 }
 
 void PressureController::apply(Tracked& t) {

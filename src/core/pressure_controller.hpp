@@ -14,13 +14,15 @@
 //
 // So monitors self-throttle when shard owners fall behind instead of
 // amplifying the collapse, and probe their way back up when pressure clears.
-// Everything is deterministic: daemons are visited in attach order (node
-// ascending as the cluster wires them), and the only inputs are counters.
+// Everything is deterministic: daemons are visited in the order the
+// constructor receives them (node ascending), and the only inputs are
+// counters.
 // concord-lint: emit-path — bytes or messages produced here must not depend
 // on hash-map iteration order.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,18 +55,16 @@ struct PressureParams {
 
 class PressureController {
  public:
-  PressureController(net::Fabric& fabric, PressureParams params)
-      : fabric_(fabric), params_(params) {}
+  /// Wires every daemon into the loop: enables credit flow control and
+  /// grants in both roles, installs the initial budget/quota, and publishes
+  /// them with the daemon's credits as per-node update_budget / flush_quota /
+  /// flow_credits gauges (subsystem "core", in the fabric's registry).
+  /// `daemons` come in ascending node order for deterministic adaptation.
+  PressureController(net::Fabric& fabric, PressureParams params,
+                     const std::vector<std::unique_ptr<ServiceDaemon>>& daemons);
 
   PressureController(const PressureController&) = delete;
   PressureController& operator=(const PressureController&) = delete;
-
-  /// Wires a daemon into the loop: enables credit flow control and grants in
-  /// both roles, installs the initial budget/quota, and publishes them with
-  /// the daemon's credits as per-node update_budget / flush_quota /
-  /// flow_credits gauges (subsystem "core", in the fabric's registry).
-  /// Attach in ascending node order for deterministic adaptation.
-  void attach(ServiceDaemon& daemon);
 
   /// One AIMD step per attached daemon. Call at the scan boundary, after
   /// the simulation has drained the epoch's traffic.
@@ -106,7 +106,7 @@ class PressureController {
 
   net::Fabric& fabric_;
   PressureParams params_;
-  std::vector<Tracked> tracked_;  // attach order == node ascending
+  std::vector<Tracked> tracked_;  // node ascending
   std::uint64_t prev_breaker_trips_ = 0;
   std::uint64_t throttle_events_ = 0;
 };

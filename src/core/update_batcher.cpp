@@ -26,7 +26,10 @@ UpdateBatcher::UpdateBatcher(NodeId self, net::Fabric& fabric, BatchPolicy polic
       placement_(placement),
       routed_generation_(placement != nullptr ? placement->generation() : 0),
       updates_batched_(fabric.metrics().counter("core", "updates_batched", label())),
-      batch_fill_(fabric.metrics().histogram("net", "batch_fill", label())) {}
+      batch_fill_(fabric.metrics().histogram("net", "batch_fill", label())),
+      updates_remapped_(fabric.metrics().counter("core", "updates_remapped", label())),
+      flush_deferred_(fabric.metrics().counter("core", "flush_deferred", label())),
+      updates_shed_local_(fabric.metrics().counter("core", "updates_shed_local", label())) {}
 
 void UpdateBatcher::set_flow_control(bool enabled, std::uint64_t initial_credits) {
   flow_control_ = enabled;
@@ -65,10 +68,7 @@ void UpdateBatcher::add(NodeId dst, const dht::UpdateRecord& rec) {
   if (flow_control_ && buf.size() >= pending_cap()) {
     // Bounded buffer: under sustained pressure the newest records are shed
     // here rather than growing an unbounded queue the owner cannot absorb.
-    if (updates_shed_local_ == nullptr) {
-      updates_shed_local_ = &fabric_.metrics().counter("core", "updates_shed_local", label());
-    }
-    updates_shed_local_->inc();
+    updates_shed_local_.inc();
     return;
   }
   buf.push_back(rec);
@@ -112,10 +112,7 @@ void UpdateBatcher::remap_pending() {
     buf.resize(kept);
   }
   if (moved.empty()) return;
-  if (updates_remapped_ == nullptr) {
-    updates_remapped_ = &fabric_.metrics().counter("core", "updates_remapped", label());
-  }
-  updates_remapped_->inc(moved.size());
+  updates_remapped_.inc(moved.size());
   for (auto& [owner, rec] : moved) buffer_for(owner).push_back(rec);
 }
 
@@ -175,12 +172,7 @@ void UpdateBatcher::ship(NodeId dst, std::vector<dht::UpdateRecord>& records,
     if (quota != nullptr) --*quota;
     off += n;
   }
-  if (off < records.size()) {
-    if (flush_deferred_ == nullptr) {
-      flush_deferred_ = &fabric_.metrics().counter("core", "flush_deferred", label());
-    }
-    flush_deferred_->inc();
-  }
+  if (off < records.size()) flush_deferred_.inc();
   records.erase(records.begin(), records.begin() + static_cast<std::ptrdiff_t>(off));
   if (records.empty()) pending_trace_.erase(dst);
 }

@@ -162,8 +162,9 @@ class UpdateBatcher {
   /// for a dead owner re-route to the epoch-aware successor instead of
   /// relying on DhtAudit to heal the loss. Accounting lands in the fabric's
   /// registry, labeled with `self`: core.updates_batched (records shipped
-  /// inside batch datagrams) and net.batch_fill (log2 histogram of records
-  /// per flushed datagram).
+  /// inside batch datagrams), net.batch_fill (log2 histogram of records per
+  /// flushed datagram), core.updates_remapped, core.flush_deferred and
+  /// core.updates_shed_local.
   UpdateBatcher(NodeId self, net::Fabric& fabric, BatchPolicy policy,
                 const dht::Placement* placement = nullptr);
 
@@ -212,13 +213,12 @@ class UpdateBatcher {
   void set_flush_quota(std::uint64_t per_flush) noexcept { flush_quota_ = per_flush; }
   [[nodiscard]] std::uint64_t flush_quota() const noexcept { return flush_quota_; }
 
-  /// Cumulative pressure signals (0 until the first event — the counters
-  /// behind them are created lazily).
+  /// Cumulative pressure signals.
   [[nodiscard]] std::uint64_t deferred_events() const noexcept {
-    return flush_deferred_ != nullptr ? flush_deferred_->value() : 0;
+    return flush_deferred_.value();
   }
   [[nodiscard]] std::uint64_t shed_local_records() const noexcept {
-    return updates_shed_local_ != nullptr ? updates_shed_local_->value() : 0;
+    return updates_shed_local_.value();
   }
 
  private:
@@ -262,11 +262,9 @@ class UpdateBatcher {
   std::uint64_t flush_quota_ = 0;  // datagrams per flush_all; 0 = unlimited
   obs::Counter& updates_batched_;
   obs::Histogram& batch_fill_;
-  // Lazy cells: created on first event, so a run without that event has no
-  // such cell in its snapshot.
-  obs::Counter* updates_remapped_ = nullptr;
-  obs::Counter* flush_deferred_ = nullptr;
-  obs::Counter* updates_shed_local_ = nullptr;
+  obs::Counter& updates_remapped_;
+  obs::Counter& flush_deferred_;
+  obs::Counter& updates_shed_local_;
 };
 
 }  // namespace concord::core

@@ -8,61 +8,47 @@
 
 namespace concord::net {
 
+Fabric::NodeSlot::NodeSlot(obs::Registry& r, std::int32_t node)
+    : msgs_sent(r.counter("net", "msgs_sent", node)),
+      bytes_sent(r.counter("net", "bytes_sent", node)),
+      msgs_received(r.counter("net", "msgs_received", node)),
+      bytes_received(r.counter("net", "bytes_received", node)),
+      msgs_dropped(r.counter("net", "msgs_dropped", node)),
+      retransmits(r.counter("net", "retransmits", node)),
+      msgs_blackholed(r.counter("net", "msgs_blackholed", node)),
+      msgs_shed(r.counter("net", "msgs_shed", node)),
+      msgs_corrupt_dropped(r.counter("net", "msgs_corrupt_dropped", node)),
+      depth(r.histogram("net", "ingress_depth", node)) {}
+
 Fabric::Fabric(sim::Simulation& simulation, FabricParams params, obs::Registry* registry)
     : sim_(simulation),
       params_(params),
-      metrics_(obs::given_or_owned(registry, owned_metrics_)) {}
+      metrics_(obs::given_or_owned(registry, owned_metrics_)),
+      breaker_trips_(metrics_.counter("net", "breaker_trips")),
+      breaker_fastfail_(metrics_.counter("net", "breaker_fastfail")),
+      blackholed_inflight_(metrics_.counter("net", "msgs_blackholed_inflight")),
+      acks_completed_(metrics_.counter("net", "acks_completed")),
+      loopback_delivered_(metrics_.counter("net", "loopback_delivered")),
+      msgs_duplicated_(metrics_.counter("net", "msgs_duplicated")) {
+  for (std::size_t i = 0; i < kNumMsgTypes; ++i) {
+    const std::string label(to_string(static_cast<MsgType>(i)));
+    type_cells_[i] = TypeCells{&metrics_.counter("net", "type_msgs." + label),
+                               &metrics_.counter("net", "type_bytes." + label),
+                               &metrics_.counter("net", "shed_msgs." + label),
+                               &metrics_.counter("net", "corrupt_msgs." + label)};
+  }
+}
 
 Fabric::NodeSlot& Fabric::slot(NodeId node) {
-  if (raw(node) >= nodes_.size()) nodes_.resize(raw(node) + 1);
+  while (nodes_.size() <= raw(node)) {
+    nodes_.emplace_back(metrics_, static_cast<std::int32_t>(nodes_.size()));
+  }
   return nodes_[raw(node)];
-}
-
-Fabric::NodeSlot& Fabric::traffic_slot(NodeId node) {
-  NodeSlot& s = slot(node);
-  if (s.cells.msgs_sent == nullptr) {
-    const auto n = static_cast<std::int32_t>(raw(node));
-    obs::Registry& r = metrics_;
-    s.cells = NodeCells{&r.counter("net", "msgs_sent", n),     &r.counter("net", "bytes_sent", n),
-                        &r.counter("net", "msgs_received", n), &r.counter("net", "bytes_received", n),
-                        &r.counter("net", "msgs_dropped", n),  &r.counter("net", "retransmits", n),
-                        &r.counter("net", "msgs_blackholed", n)};
-  }
-  return s;
-}
-
-Fabric::TypeCells& Fabric::type_cells(MsgType t) {
-  TypeCells& c = type_cells_[static_cast<std::size_t>(t)];
-  if (c.msgs == nullptr) {
-    const std::string label(to_string(t));
-    c.msgs = &metrics_.counter("net", "type_msgs." + label);
-    c.bytes = &metrics_.counter("net", "type_bytes." + label);
-  }
-  return c;
-}
-
-obs::Counter& Fabric::shed_type_cell(MsgType t) {
-  obs::Counter*& c = shed_type_cells_[static_cast<std::size_t>(t)];
-  if (c == nullptr) c = &metrics_.counter("net", "shed_msgs." + std::string(to_string(t)));
-  return *c;
-}
-
-obs::Counter& Fabric::corrupt_type_cell(MsgType t) {
-  obs::Counter*& c = corrupt_type_cells_[static_cast<std::size_t>(t)];
-  if (c == nullptr) c = &metrics_.counter("net", "corrupt_msgs." + std::string(to_string(t)));
-  return *c;
-}
-
-obs::Counter& Fabric::site_counter(const char* name) {
-  // Not cached: these sit on cold paths (breaker transitions, in-flight
-  // blackholes) where a map lookup in the registry is fine.
-  // concord-proto: cell counter net/breaker_trips net/breaker_fastfail net/msgs_blackholed_inflight
-  return metrics_.counter("net", name);
 }
 
 void Fabric::register_node(NodeId node, Handler handler) {
   assert(handler);
-  traffic_slot(node).handler = std::move(handler);
+  slot(node).handler = std::move(handler);
 }
 
 void Fabric::set_link_blocked(NodeId src, NodeId dst, bool blocked) {
@@ -110,18 +96,9 @@ bool Fabric::roll_corrupt(NodeId src, NodeId dst) {
 }
 
 void Fabric::count_corrupt_drop(const Message& msg) {
-  NodeSlot& s = slot(msg.dst);
-  if (s.corrupt == nullptr) {
-    s.corrupt = &metrics_.counter("net", "msgs_corrupt_dropped",
-                                  static_cast<std::int32_t>(raw(msg.dst)));
-  }
-  s.corrupt->inc();
-  corrupt_type_cell(msg.type).inc();
+  slot(msg.dst).msgs_corrupt_dropped.inc();
+  type_cells_[static_cast<std::size_t>(msg.type)].corrupt->inc();
   fr_record(msg.dst, obs::FrEvent::kMsgCorrupt, msg.type, msg.src, msg.wire_size);
-}
-
-std::uint64_t Fabric::corrupt_dropped() const {
-  return metrics_.counter_total("net", "msgs_corrupt_dropped");
 }
 
 sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool lossy,
@@ -129,14 +106,14 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
   // A down endpoint or a cut link silences the attempt before it ever
   // occupies the NIC: no egress charge, no send accounting, just the
   // blackhole count at the source.
-  NodeSlot& s = traffic_slot(src);
+  NodeSlot& s = slot(src);
   if (!s.reachable || !node_reachable(dst) || link_blocked(src, dst)) {
-    s.cells.msgs_blackholed->inc();
+    s.msgs_blackholed.inc();
     fr_record(src, obs::FrEvent::kMsgBlackholed, type, dst, wire_size);
     return -1;
   }
-  s.cells.msgs_sent->inc();
-  s.cells.bytes_sent->inc(wire_size);
+  s.msgs_sent.inc();
+  s.bytes_sent.inc(wire_size);
   fr_record(src, obs::FrEvent::kMsgSend, type, dst, wire_size);
 
   // Egress serialization: this datagram occupies the NIC for tx_time.
@@ -154,7 +131,7 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
       if (it != lossy_links_.end()) p = p + it->second - p * it->second;
     }
     if (sim_.rng().chance(p)) {
-      s.cells.msgs_dropped->inc();
+      s.msgs_dropped.inc();
       fr_record(src, obs::FrEvent::kMsgDrop, type, dst, wire_size);
       return -1;
     }
@@ -170,7 +147,7 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
 sim::Time Fabric::backoff_base(int failures) const noexcept {
   sim::Time wait = params_.ack_timeout;
   for (int i = 1; i < failures; ++i) {
-    wait = static_cast<sim::Time>(static_cast<double>(wait) * params_.backoff_factor);
+    wait *= 2;
     if (wait >= params_.max_backoff) return params_.max_backoff;
   }
   return std::min(wait, params_.max_backoff);
@@ -194,12 +171,8 @@ std::optional<Fabric::Delivery> Fabric::admit_ingress(const Message& msg) {
   if (is_control_plane(msg.type)) return Delivery::kDatagram;  // priority class
   const std::size_t depth = ingress_depth(msg.dst);
   if (depth >= params_.ingress_queue_limit) {
-    NodeSlot& s = slot(msg.dst);
-    if (s.shed == nullptr) {
-      s.shed = &metrics_.counter("net", "msgs_shed", static_cast<std::int32_t>(raw(msg.dst)));
-    }
-    s.shed->inc();
-    shed_type_cell(msg.type).inc();
+    slot(msg.dst).msgs_shed.inc();
+    type_cells_[static_cast<std::size_t>(msg.type)].shed->inc();
     fr_record(msg.dst, obs::FrEvent::kMsgShed, msg.type, msg.src, msg.wire_size);
     return std::nullopt;
   }
@@ -216,11 +189,7 @@ sim::Time Fabric::rx_schedule(NodeId dst, sim::Time arrival) {
 void Fabric::deliver_at(sim::Time when, Message msg, Delivery how) {
   if (how == Delivery::kQueued) {
     NodeSlot& s = slot(msg.dst);
-    if (s.depth == nullptr) {
-      s.depth = &metrics_.histogram("net", "ingress_depth",
-                                    static_cast<std::int32_t>(raw(msg.dst)));
-    }
-    s.depth->record(++s.ingress_depth);
+    s.depth.record(++s.ingress_depth);
   }
   sim_.at(when, [this, how, m = std::move(msg)]() mutable {
     NodeSlot& s = slot(m.dst);
@@ -232,17 +201,17 @@ void Fabric::deliver_at(sim::Time when, Message msg, Delivery how) {
     // Re-check at delivery time: the destination may have crashed while the
     // datagram was in flight (or a loopback sender may itself be down).
     if (!s.reachable) {
-      s.cells.msgs_blackholed->inc();
+      s.msgs_blackholed.inc();
       fr_record(m.dst, obs::FrEvent::kMsgBlackholed, m.type, m.src, m.wire_size);
       // Conservation accounting: unlike an egress blackhole (never counted
       // sent), this datagram did leave a NIC — track it separately so
       // sent == received + dropped + shed + blackholed_inflight holds.
-      if (how != Delivery::kLoopback) site_counter("msgs_blackholed_inflight").inc();
+      if (how != Delivery::kLoopback) blackholed_inflight_.inc();
       return;
     }
-    s.cells.msgs_received->inc();
-    s.cells.bytes_received->inc(m.wire_size);
-    if (how == Delivery::kLoopback) ++loopback_delivered_;
+    s.msgs_received.inc();
+    s.bytes_received.inc(m.wire_size);
+    if (how == Delivery::kLoopback) loopback_delivered_.inc();
     note_delivery(m);
     // The handler runs under the arriving message's context (empty for an
     // untraced message — deliberately, so its sends don't inherit whatever
@@ -296,7 +265,7 @@ void Fabric::breaker_record_timeout(NodeId src, NodeId dst) {
     b->half_open = false;
     b->cooldown = std::min<sim::Time>(b->cooldown * 2, 16 * params_.breaker_cooldown);
     b->open_until = sim_.now() + b->cooldown;
-    site_counter("breaker_trips").inc();
+    breaker_trips_.inc();
     if (recorder_ != nullptr) {
       recorder_->record(raw(src), sim_.now(), obs::FrEvent::kBreakerTrip, 1, raw(dst));
     }
@@ -308,7 +277,7 @@ void Fabric::breaker_record_timeout(NodeId src, NodeId dst) {
     b->open = true;
     b->cooldown = params_.breaker_cooldown;
     b->open_until = sim_.now() + b->cooldown;
-    site_counter("breaker_trips").inc();
+    breaker_trips_.inc();
     if (recorder_ != nullptr) {
       recorder_->record(raw(src), sim_.now(), obs::FrEvent::kBreakerTrip, 0, raw(dst));
     }
@@ -331,17 +300,8 @@ BreakerState Fabric::breaker_state(NodeId src, NodeId dst) const {
   return sim_.now() < it->second.open_until ? BreakerState::kOpen : BreakerState::kHalfOpen;
 }
 
-std::uint64_t Fabric::breaker_trips() const {
-  return metrics_.counter_total("net", "breaker_trips");
-}
-
-std::uint64_t Fabric::shed_of_type(MsgType t) const {
-  const obs::Counter* c = shed_type_cells_[static_cast<std::size_t>(t)];
-  return c == nullptr ? 0 : c->value();
-}
-
 void Fabric::account_send(Message& msg) {
-  TypeCells& tc = type_cells(msg.type);
+  const TypeCells& tc = type_cells_[static_cast<std::size_t>(msg.type)];
   tc.msgs->inc();
   tc.bytes->inc(msg.wire_size);
 }
@@ -377,7 +337,7 @@ void Fabric::send_unreliable(Message msg) {
     // (a checksum cannot catch a faithful duplicate); handlers cope by
     // idempotence. Counted at manufacture so the conservation identity can
     // subtract it whichever way the copy ends (delivered, shed, blackholed).
-    ++duplicates_delivered_;
+    msgs_duplicated_.inc();
     Message dup = msg;
     const std::optional<Delivery> dup_admitted = admit_ingress(dup);
     if (dup_admitted.has_value()) {
@@ -405,7 +365,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
   Breaker* br = breaker_for(msg.src, msg.dst);
   if (br != nullptr && br->open) {
     if (sim_.now() < br->open_until) {
-      site_counter("breaker_fastfail").inc();
+      breaker_fastfail_.inc();
       fr_record(msg.src, obs::FrEvent::kBreakerFastFail, msg.type, msg.dst);
       if (on_done) sim_.after(0, [cb = std::move(on_done)]() { cb(Status::kUnavailable); });
       return;
@@ -431,7 +391,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
   bool budget_spent = false;
   while (attempt < params_.max_retries && !budget_spent) {
     ++attempt;
-    if (attempt > 1) traffic_slot(src).cells.retransmits->inc();
+    if (attempt > 1) slot(src).retransmits.inc();
     sim::Time arrival = transmit(src, dst, msg.wire_size, /*lossy=*/true, msg.type);
     if (arrival >= 0 && roll_corrupt(src, dst)) {
       if (params_.checksum_enabled) {
@@ -473,7 +433,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
     int ack_failures = 0;
     while (ack_attempt < params_.max_retries) {
       ++ack_attempt;
-      if (ack_attempt > 1) traffic_slot(dst).cells.retransmits->inc();
+      if (ack_attempt > 1) slot(dst).retransmits.inc();
       // Acks are priority traffic: never shed, never queued behind load.
       const sim::Time ack_arrival =
           transmit(dst, src, kAckBytes, /*lossy=*/true, MsgType::kCommandAck);
@@ -483,7 +443,7 @@ void Fabric::send_reliable(Message msg, SendCallback on_done) {
         continue;
       }
       breaker_record_success(src, dst);
-      ++acks_completed_;  // one msgs_sent (the ack) with no msgs_received
+      acks_completed_.inc();  // one msgs_sent (the ack) with no msgs_received
       if (on_done) {
         sim_.at(deliver_time + ack_elapsed +
                     std::max<sim::Time>(ack_arrival - sim_.now(), 0),
@@ -527,18 +487,12 @@ void Fabric::broadcast_reliable(NodeId src, MsgType type, const std::any& body,
 }
 
 NodeTraffic Fabric::traffic(NodeId node) const {
-  NodeTraffic out;
-  if (raw(node) >= nodes_.size()) return out;
+  if (raw(node) >= nodes_.size()) return NodeTraffic{};
   const NodeSlot& s = nodes_[raw(node)];
-  if (s.cells.msgs_sent != nullptr) {
-    const NodeCells& c = s.cells;
-    out = NodeTraffic{c.msgs_sent->value(),     c.bytes_sent->value(),
-                      c.msgs_received->value(), c.bytes_received->value(),
-                      c.msgs_dropped->value(),  c.retransmits->value(),
-                      c.msgs_blackholed->value()};
-  }
-  if (s.shed != nullptr) out.msgs_shed = s.shed->value();
-  return out;
+  return NodeTraffic{s.msgs_sent.value(),       s.bytes_sent.value(),
+                     s.msgs_received.value(),   s.bytes_received.value(),
+                     s.msgs_dropped.value(),    s.retransmits.value(),
+                     s.msgs_blackholed.value(), s.msgs_shed.value()};
 }
 
 NodeTraffic Fabric::total_traffic() const {
@@ -559,13 +513,12 @@ NodeTraffic Fabric::total_traffic() const {
 
 TypeTraffic Fabric::type_traffic(MsgType t) const {
   const TypeCells& c = type_cells_[static_cast<std::size_t>(t)];
-  if (c.msgs == nullptr) return TypeTraffic{};
   return TypeTraffic{c.msgs->value(), c.bytes->value()};
 }
 
 void Fabric::reset_traffic() {
-  // One sweep zeroes per-node traffic and per-type counts/bytes alike; every
-  // fabric metric lives under the "net" subsystem.
+  // Every fabric metric lives under the "net" subsystem, so one sweep zeroes
+  // all of them together and the conservation identity keeps balancing.
   metrics_.reset("net");
 }
 

@@ -21,7 +21,11 @@
 // All delays are charged to the Simulation's virtual clock. Per-node and
 // per-type traffic is accounted for the Fig. 7 / §5.4 volume results, in the
 // registry given at construction (subsystem "net"); a fabric built without
-// one accounts into a private registry of its own.
+// one accounts into a private registry of its own. Every cell the fabric
+// increments exists from construction (per-type and site-wide cells) or from
+// the moment a node's slot is appended (per-node cells), and reads zero until
+// its event happens; the watchdog's conservation identity reads all of its
+// terms from these cells.
 //
 // Reliable-class delivery semantics are AT-LEAST-ONCE from the receiver's
 // point of view and best-effort-exactly-once from the sender's: the data
@@ -64,10 +68,8 @@ struct FabricParams {
 
   // --- overload protection ----------------------------------------------
   /// Reliable-class retransmit backoff: the k-th consecutive failure of one
-  /// send waits ack_timeout * backoff_factor^(k-1), capped at max_backoff,
-  /// plus a seeded jitter draw in [0, backoff_jitter). factor 1 with zero
-  /// jitter reproduces the legacy fixed timer exactly.
-  double backoff_factor = 2.0;
+  /// send waits ack_timeout * 2^(k-1), capped at max_backoff, plus a seeded
+  /// jitter draw in [0, backoff_jitter).
   sim::Time max_backoff = 4 * sim::kMillisecond;
   sim::Time backoff_jitter = 250 * sim::kMicrosecond;
   /// Per-send retry *time* budget: once the cumulative backoff wait would
@@ -100,7 +102,7 @@ struct FabricParams {
   /// at the receiver, dropped, and counted (net/msgs_corrupt_dropped plus
   /// per-type cells) instead of being delivered — the reliable class then
   /// retries it through the normal backoff machinery. Off: no extra bytes,
-  /// no extra cells, byte-identical traffic.
+  /// and the corruption cells read zero.
   bool checksum_enabled = false;
   /// I.i.d. payload bit-flip probability per transmitted datagram; per-link
   /// corruption rates stack multiplicatively on top, like loss. With
@@ -184,7 +186,8 @@ class Fabric {
   [[nodiscard]] TypeTraffic type_traffic(MsgType t) const;
   [[nodiscard]] std::uint64_t type_bytes(MsgType t) const { return type_traffic(t).bytes; }
   [[nodiscard]] std::uint64_t type_msgs(MsgType t) const { return type_traffic(t).msgs; }
-  /// Zeroes every "net" metric: per-node traffic AND per-type counts/bytes.
+  /// Zeroes every "net" metric: per-node traffic, per-type counts/bytes and
+  /// the site-wide conservation terms alike.
   void reset_traffic();
 
   [[nodiscard]] const FabricParams& params() const noexcept { return params_; }
@@ -200,15 +203,19 @@ class Fabric {
 
   // --- overload surface --------------------------------------------------
   /// Backoff wait after the k-th consecutive failure of one reliable send
-  /// (k >= 1), before jitter: min(ack_timeout * factor^(k-1), max_backoff).
+  /// (k >= 1), before jitter: min(ack_timeout * 2^(k-1), max_backoff).
   [[nodiscard]] sim::Time backoff_base(int failures) const noexcept;
   /// Sheddable datagrams currently in flight / queued toward `node`.
   [[nodiscard]] std::size_t ingress_depth(NodeId node) const;
   [[nodiscard]] BreakerState breaker_state(NodeId src, NodeId dst) const;
-  /// Open/half-open transition count, site-wide (0 until the first trip).
-  [[nodiscard]] std::uint64_t breaker_trips() const;
+  /// Open/half-open transition count, site-wide.
+  [[nodiscard]] std::uint64_t breaker_trips() const noexcept {
+    return breaker_trips_.value();
+  }
   /// Datagrams tail-dropped with this message type, site-wide.
-  [[nodiscard]] std::uint64_t shed_of_type(MsgType t) const;
+  [[nodiscard]] std::uint64_t shed_of_type(MsgType t) const noexcept {
+    return type_cells_[static_cast<std::size_t>(t)].shed->value();
+  }
   /// Fires on every breaker open transition (trip or half-open probe
   /// failure); wired to membership suspicion by the cluster.
   using BreakerTripFn = std::function<void(NodeId src, NodeId dst)>;
@@ -259,19 +266,6 @@ class Fabric {
     TraceContext prev_;
   };
 
-  // --- conservation accounting -------------------------------------------
-  // Plain members, deliberately not registry metrics: they close the PR-5
-  // conservation identity (the watchdog's first invariant) without adding
-  // cells that would perturb metric-snapshot byte-identity.
-  /// Reliable exchanges whose ack reached the sender (each contributes one
-  /// msgs_sent with no msgs_received — the simulated ack datagram).
-  [[nodiscard]] std::uint64_t acks_completed() const noexcept { return acks_completed_; }
-  /// Deliveries that never touched the NIC (msgs_received without
-  /// msgs_sent).
-  [[nodiscard]] std::uint64_t loopback_delivered() const noexcept {
-    return loopback_delivered_;
-  }
-
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
 
   // --- fault surface (driven by net::FaultInjector) ---------------------
@@ -310,33 +304,17 @@ class Fabric {
   /// payload types — installs this. Must be deterministic.
   using CorruptFn = std::function<void(Message&)>;
   void set_payload_corruptor(CorruptFn fn) { corruptor_ = std::move(fn); }
-  /// Corrupted datagrams detected by checksum and dropped, site-wide.
-  [[nodiscard]] std::uint64_t corrupt_dropped() const;
-  /// Duplicate deliveries manufactured by the fault layer — each is one
-  /// extra msgs_received (or shed / in-flight blackhole) with no msgs_sent
-  /// of its own, so the conservation identity subtracts them.
-  [[nodiscard]] std::uint64_t duplicates_delivered() const noexcept {
-    return duplicates_delivered_;
-  }
 
  private:
   [[nodiscard]] static std::uint64_t link_key(NodeId src, NodeId dst) noexcept {
     return (static_cast<std::uint64_t>(raw(src)) << 32) | raw(dst);
   }
-  /// Registry cells for one node's traffic (the hot path touches these
-  /// pointers only, never the registry itself).
-  struct NodeCells {
-    obs::Counter* msgs_sent = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* msgs_received = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* msgs_dropped = nullptr;
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* msgs_blackholed = nullptr;
-  };
+  /// Site-wide cells for one message type, resolved in the constructor.
   struct TypeCells {
-    obs::Counter* msgs = nullptr;
-    obs::Counter* bytes = nullptr;
+    obs::Counter* msgs;
+    obs::Counter* bytes;
+    obs::Counter* shed;     // tail-dropped at a full ingress queue
+    obs::Counter* corrupt;  // dropped by the receiver's checksum check
   };
   /// Per-(src, dst) breaker. Reliable-send outcomes resolve synchronously at
   /// send time (the whole retry protocol is simulated inline), so breaker
@@ -348,20 +326,26 @@ class Fabric {
     sim::Time cooldown = 0;    // doubles on a failed probe, capped
     bool half_open = false;    // the in-progress send is the probe
   };
-  /// Everything the fabric keeps per node. Traffic cells resolve when the
-  /// node registers or first carries traffic; the overload and corruption
-  /// cells only when their event first happens, so a run without that event
-  /// has no such cell in its snapshot.
+  /// Everything the fabric keeps per node, with the node's registry cells
+  /// (the hot path touches these, never the registry itself).
   struct NodeSlot {
+    NodeSlot(obs::Registry& r, std::int32_t node);
+
     Handler handler;
     bool reachable = true;
     sim::Time next_tx_free = 0;
     sim::Time next_rx_free = 0;     // ingress service
     std::size_t ingress_depth = 0;  // sheddable datagrams in flight
-    NodeCells cells;                // all null until resolved
-    obs::Counter* shed = nullptr;
-    obs::Histogram* depth = nullptr;
-    obs::Counter* corrupt = nullptr;
+    obs::Counter& msgs_sent;
+    obs::Counter& bytes_sent;
+    obs::Counter& msgs_received;
+    obs::Counter& bytes_received;
+    obs::Counter& msgs_dropped;
+    obs::Counter& retransmits;
+    obs::Counter& msgs_blackholed;
+    obs::Counter& msgs_shed;
+    obs::Counter& msgs_corrupt_dropped;
+    obs::Histogram& depth;  // ingress depth seen by each queued arrival
   };
   /// How a delivery was scheduled: loopback (no accounting), a plain
   /// datagram, or one admitted to a bounded ingress queue (depth-tracked).
@@ -393,9 +377,6 @@ class Fabric {
 
   /// `node`'s slot, appended (with every slot below it) on first sight.
   NodeSlot& slot(NodeId node);
-  /// slot(node) with its traffic cells resolved.
-  NodeSlot& traffic_slot(NodeId node);
-  TypeCells& type_cells(MsgType t);
   void account_send(Message& msg);
 
   /// Stamps an untraced message from the ambient context (when propagation is
@@ -416,12 +397,6 @@ class Fabric {
                         static_cast<std::uint16_t>(mt), raw(peer), d1);
     }
   }
-
-  // Lazily-created site-wide cells: these exist in a snapshot only once the
-  // matching event has happened.
-  obs::Counter& shed_type_cell(MsgType t);
-  obs::Counter& site_counter(const char* name);
-  obs::Counter& corrupt_type_cell(MsgType t);
 
   /// Rolls the (src, dst) corruption hazard. Returns false without drawing
   /// from the RNG when no corruption is configured, so default runs stay
@@ -445,8 +420,16 @@ class Fabric {
   // node never seen before, and growing must not move the running handler.
   std::deque<NodeSlot> nodes_;
   std::array<TypeCells, kNumMsgTypes> type_cells_{};
-  std::array<obs::Counter*, kNumMsgTypes> shed_type_cells_{};
-  std::array<obs::Counter*, kNumMsgTypes> corrupt_type_cells_{};
+  // Site-wide cells. The last three close the conservation identity: an
+  // acked reliable exchange is one msgs_sent (the ack) with no
+  // msgs_received; a loopback delivery and a manufactured duplicate are
+  // msgs_received (or shed, or blackholed in flight) with no msgs_sent.
+  obs::Counter& breaker_trips_;
+  obs::Counter& breaker_fastfail_;
+  obs::Counter& blackholed_inflight_;
+  obs::Counter& acks_completed_;
+  obs::Counter& loopback_delivered_;
+  obs::Counter& msgs_duplicated_;
   // Per-link fault state by link_key, read only while non-empty.
   std::unordered_map<std::uint64_t, double> corrupt_links_;  // per-link bit-flip
   std::unordered_map<std::uint64_t, Breaker> breakers_;
@@ -461,10 +444,6 @@ class Fabric {
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
   std::uint64_t next_flow_id_ = 0;
-  // Conservation accounting (see the public accessors).
-  std::uint64_t acks_completed_ = 0;
-  std::uint64_t loopback_delivered_ = 0;
-  std::uint64_t duplicates_delivered_ = 0;
 };
 
 }  // namespace concord::net

@@ -35,7 +35,9 @@ std::string_view to_string(FrEvent e) noexcept {
 }
 
 FlightRecorder::FlightRecorder(Registry& registry, std::uint32_t nodes, std::size_t capacity)
-    : metrics_(registry), capacity_(capacity == 0 ? 1 : capacity), rings_(nodes) {
+    : capacity_(capacity == 0 ? 1 : capacity),
+      rings_(nodes),
+      dump_cell_(registry.counter("obs", "blackbox_dumps")) {
   for (Ring& r : rings_) r.ev.reserve(capacity_);
 }
 
@@ -107,9 +109,7 @@ std::string FlightRecorder::to_json_all(std::string_view reason) const {
 void FlightRecorder::dump(std::string_view reason) {
   last_dump_ = to_json_all(reason);
   last_reason_.assign(reason);
-  ++dumps_;
-  if (dump_cell_ == nullptr) dump_cell_ = &metrics_.counter("obs", "blackbox_dumps");
-  dump_cell_->inc();
+  dump_cell_.inc();
   if (sink_) sink_(reason, last_dump_);
 }
 

@@ -8,10 +8,9 @@
 // only the recent past, which is exactly what a postmortem needs when a
 // command completes kDegraded, a breaker trips, or a DhtAudit pass finds
 // drift. Those triggers call dump(): the rings serialize to deterministic
-// JSON, a lazily created `obs/blackbox_dumps` counter ticks (created only
-// on the first dump, so default-run metric snapshots are unchanged), and an
-// optional sink — a bench writing artifacts, a test asserting on the dump —
-// receives the document.
+// JSON, the `obs/blackbox_dumps` counter ticks, and an optional sink — a
+// bench writing artifacts, a test asserting on the dump — receives the
+// document.
 // concord-lint: emit-path — bytes or messages produced here must not depend on
 // hash-map iteration order.
 #pragma once
@@ -70,7 +69,7 @@ class FlightRecorder {
 
   using DumpSink = std::function<void(std::string_view reason, const std::string& json)>;
 
-  /// `registry` receives the lazy `obs/blackbox_dumps` counter.
+  /// `registry` receives the `obs/blackbox_dumps` counter.
   FlightRecorder(Registry& registry, std::uint32_t nodes,
                  std::size_t capacity = kDefaultCapacity);
   FlightRecorder(const FlightRecorder&) = delete;
@@ -93,7 +92,7 @@ class FlightRecorder {
   /// bumps the dump counter, and fires the sink.
   void dump(std::string_view reason);
 
-  [[nodiscard]] std::uint64_t dumps() const noexcept { return dumps_; }
+  [[nodiscard]] std::uint64_t dumps() const noexcept { return dump_cell_.value(); }
   [[nodiscard]] const std::string& last_dump() const noexcept { return last_dump_; }
   [[nodiscard]] const std::string& last_reason() const noexcept { return last_reason_; }
 
@@ -120,18 +119,15 @@ class FlightRecorder {
 
   void append_ring_json(std::string& out, std::uint32_t node) const;
 
-  Registry& metrics_;
   const std::size_t capacity_;  // immutable after construction
   // concord-lint: unguarded(event-loop confined: record()/dump() run only on
   // the simulation thread — scan-pool workers deliver no messages, so no ring
   // is ever touched concurrently; adding a lock here would tax every send)
   std::vector<Ring> rings_;
   // concord-lint: unguarded(event-loop confined, as rings_)
-  Counter* dump_cell_ = nullptr;  // lazy: created on first dump only
+  Counter& dump_cell_;  // obs/blackbox_dumps
   // concord-lint: unguarded(event-loop confined, as rings_)
   DumpSink sink_;
-  // concord-lint: unguarded(event-loop confined, as rings_)
-  std::uint64_t dumps_ = 0;
   // concord-lint: unguarded(event-loop confined, as rings_)
   std::string last_dump_;
   // concord-lint: unguarded(event-loop confined, as rings_)

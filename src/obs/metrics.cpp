@@ -38,8 +38,8 @@ void append_i64(std::string& out, const char* field, std::int64_t v) {
 
 template <typename T>
 T& Registry::resolve(std::string_view subsystem, std::string_view name, std::int32_t node) {
-  // Lazy cells can first-fire from scan-pool worker threads; only the map
-  // insertion races (cell mutation stays on disjoint per-node cells).
+  // Only the map insertion needs the lock: cell mutation stays on disjoint
+  // per-node cells, and references stay valid across later insertions.
   const common::MutexLock lock(resolve_mu_);
   const auto [it, inserted] = metrics_.try_emplace(
       MetricKey{std::string(subsystem), std::string(name), node}, std::in_place_type<T>);

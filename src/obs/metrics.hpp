@@ -5,15 +5,16 @@
 // per node, per subsystem, and per metric instead of being scattered across
 // ad-hoc structs. Design constraints:
 //
-//   * Hot-path cost is one plain add on a pre-resolved cell. Each component
-//     gets its registry once, in its constructor (given_or_owned), calls
-//     counter()/gauge()/histogram() there and keeps the returned
-//     references; no map lookup, lock, or atomic is ever on the
-//     instrumented path. Cells live in std::map nodes, so references stay
-//     stable forever. Resolution itself takes a mutex: the sharded scan
-//     epochs (ClusterParams::sim_workers) may first-fire a lazy cell from a
-//     worker thread, and only the map insertion needs protecting — workers
-//     touch disjoint per-node cells, so increments stay plain adds.
+//   * Every cell exists from its owner's construction. Each component gets
+//     its registry once, in its constructor (given_or_owned), calls
+//     counter()/gauge()/histogram() there for every cell it will ever
+//     increment, and keeps the returned references; no map lookup, lock,
+//     null check or atomic is ever on the instrumented path, and a cell
+//     whose event never happens reads zero in every snapshot. Cells live in
+//     std::map nodes, so references stay stable forever. Resolution takes a
+//     mutex so the map insertion stays safe whichever thread constructs an
+//     owner; the sharded scan workers (ClusterParams::sim_workers) touch
+//     disjoint per-node cells, so increments stay plain adds.
 //   * Snapshots are deterministic: metrics are ordered by (subsystem, name,
 //     node) and serialized with integer-only formatting, so two identical
 //     simulated runs produce byte-identical JSON/CSV.
@@ -118,9 +119,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Returns the uniquely-labeled cell, creating it on first use. The
-  /// reference stays valid for the registry's lifetime; resolve once and
-  /// keep it. Requesting an existing key with a different kind aborts.
+  /// Returns the uniquely-labeled cell, creating it if absent. Call from the
+  /// owner's constructor: the reference stays valid for the registry's
+  /// lifetime, so resolve once and keep it. Requesting an existing key with
+  /// a different kind aborts.
   Counter& counter(std::string_view subsystem, std::string_view name,
                    std::int32_t node = kSiteWide);
   Gauge& gauge(std::string_view subsystem, std::string_view name,
@@ -166,7 +168,7 @@ class Registry {
   // for_each, totals, snapshots — run at quiescent points with no resolver
   // in flight, and cell mutation stays on disjoint per-node cells)
   std::map<MetricKey, Cell> metrics_;
-  // Guards create-on-first-use resolution only; see the header comment.
+  // Guards the map insertion in resolve(); see the header comment.
   common::Mutex resolve_mu_;
 };
 

@@ -7,23 +7,21 @@
 
 namespace concord::obs {
 
+void Watchdog::add_invariant(std::string name, Check check) {
+  Counter& cell = registry_.counter("obs", "watchdog_viol." + name);
+  invariants_.push_back(Invariant{std::move(name), std::move(check), &cell});
+}
+
 std::size_t Watchdog::evaluate() {
-  if (runs_cell_ == nullptr) {
-    runs_cell_ = &registry_.counter("obs", "watchdog_runs");
-    violations_cell_ = &registry_.counter("obs", "watchdog_violations");
-  }
-  ++runs_;
-  runs_cell_->inc();
+  runs_.inc();
   last_findings_.clear();
 
-  for (const auto& [name, check] : invariants_) {
-    std::optional<std::string> detail = check();
+  for (const Invariant& inv : invariants_) {
+    std::optional<std::string> detail = inv.check();
     if (!detail.has_value()) continue;
-    last_findings_.push_back(Finding{name, *std::move(detail)});
-    ++violations_;
-    violations_cell_->inc();
-    // Per-invariant counter, created only when that invariant first fires.
-    registry_.counter("obs", "watchdog_viol." + name).inc();
+    last_findings_.push_back(Finding{inv.name, *std::move(detail)});
+    violations_.inc();
+    inv.violations->inc();
     if (hook_) hook_(last_findings_.back());
   }
 

@@ -4,15 +4,15 @@
 // continuous, cheap monitoring of its own invariants — waiting for a test
 // to fail externalizes the cost of every silent accounting bug. The
 // watchdog holds a catalog of named checks (closures over the metric
-// registry and cluster structures: the PR-5 conservation identity, DHT
+// registry and cluster structures: the fabric's conservation identity, DHT
 // gauge-vs-structure consistency, credit-purse non-negativity,
 // breaker/suspicion wiring) and evaluates them at quiescent points — scan
-// epochs, end of benches, between chaos rounds. Findings tick
-// `obs/watchdog_runs` / `obs/watchdog_violations` counters (created lazily
-// on the first evaluation, so a merely-constructed watchdog leaves metric
-// snapshots byte-identical), fire a violation hook (the cluster wires it to
-// a flight-recorder dump), and optionally hard-fail the process — the mode
-// tests and `--smoke` benches run under.
+// epochs, end of benches, between chaos rounds. Evaluations tick
+// `obs/watchdog_runs`; findings tick `obs/watchdog_violations` and the
+// invariant's own `obs/watchdog_viol.<name>` (all resolved before the first
+// evaluation and zero until then), fire a violation hook (the cluster wires
+// it to a flight-recorder dump), and optionally hard-fail the process — the
+// mode tests and `--smoke` benches run under.
 // concord-lint: emit-path — bytes or messages produced here must not depend on
 // hash-map iteration order.
 #pragma once
@@ -41,15 +41,16 @@ class Watchdog {
 
   using ViolationHook = std::function<void(const Finding&)>;
 
-  explicit Watchdog(Registry& registry) : registry_(registry) {}
+  explicit Watchdog(Registry& registry)
+      : registry_(registry),
+        runs_(registry.counter("obs", "watchdog_runs")),
+        violations_(registry.counter("obs", "watchdog_violations")) {}
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Registers a named invariant. Evaluation order is registration order
-  /// (deterministic).
-  void add_invariant(std::string name, Check check) {
-    invariants_.emplace_back(std::move(name), std::move(check));
-  }
+  /// Registers a named invariant and resolves its obs/watchdog_viol.<name>
+  /// cell. Evaluation order is registration order (deterministic).
+  void add_invariant(std::string name, Check check);
 
   /// When set, any violation aborts the process after reporting — the mode
   /// tests and bench --smoke runs use so regressions cannot scroll past.
@@ -64,23 +65,27 @@ class Watchdog {
   /// this pass; details are kept in last_findings().
   std::size_t evaluate();
 
-  [[nodiscard]] std::uint64_t runs() const noexcept { return runs_; }
-  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
+  [[nodiscard]] std::uint64_t runs() const noexcept { return runs_.value(); }
+  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_.value(); }
   [[nodiscard]] const std::vector<Finding>& last_findings() const noexcept {
     return last_findings_;
   }
   [[nodiscard]] std::size_t invariant_count() const noexcept { return invariants_.size(); }
 
  private:
+  struct Invariant {
+    std::string name;
+    Check check;
+    Counter* violations;  // obs/watchdog_viol.<name>
+  };
+
   Registry& registry_;
-  std::vector<std::pair<std::string, Check>> invariants_;
+  Counter& runs_;
+  Counter& violations_;
+  std::vector<Invariant> invariants_;
   ViolationHook hook_;
   bool hard_fail_ = false;
-  std::uint64_t runs_ = 0;
-  std::uint64_t violations_ = 0;
   std::vector<Finding> last_findings_;
-  Counter* runs_cell_ = nullptr;        // lazy: first evaluate() only
-  Counter* violations_cell_ = nullptr;  // lazy: first evaluate() only
 };
 
 }  // namespace concord::obs

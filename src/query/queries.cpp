@@ -183,16 +183,8 @@ NodewiseAnswer QueryEngine::entities_impl(NodeId from, const ContentHash& h,
   }
   if (!done) answer.latency = simu.now() - t0;  // every candidate failed
   answer.status = done ? Status::kOk : Status::kDegraded;
-  if (repl > 1) {
-    // Lazy site-wide counters: cells exist only once a failover or refusal
-    // actually happened, so fault-free replicated runs add no snapshot rows.
-    if (attempts > 1) {
-      cluster_.metrics().counter("query", "read_failover").inc(attempts - 1);
-    }
-    if (refusals > 0) {
-      cluster_.metrics().counter("query", "read_refused").inc(refusals);
-    }
-  }
+  if (attempts > 1) read_failover_.inc(attempts - 1);
+  read_refused_.inc(refusals);
   return answer;
 }
 

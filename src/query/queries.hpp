@@ -77,7 +77,10 @@ class QueryEngine {
     std::vector<ContentHash> k_hashes;
   };
 
-  explicit QueryEngine(core::Cluster& cluster) : cluster_(cluster) {}
+  explicit QueryEngine(core::Cluster& cluster)
+      : cluster_(cluster),
+        read_failover_(cluster.metrics().counter("query", "read_failover")),
+        read_refused_(cluster.metrics().counter("query", "read_refused")) {}
 
   /// number num_copies(content_hash) — one round trip to the shard owner.
   NodewiseAnswer num_copies(NodeId from, const ContentHash& h);
@@ -109,6 +112,9 @@ class QueryEngine {
 
   core::Cluster& cluster_;
   std::uint64_t next_req_id_ = 1;
+  // Replicated reads (R > 1): extra candidates tried, and dirty-gate refusals.
+  obs::Counter& read_failover_;
+  obs::Counter& read_refused_;
 };
 
 }  // namespace concord::query

@@ -9,16 +9,20 @@
 
 namespace concord::services {
 
+IntegrityScrub::IntegrityScrub(core::Cluster& cluster)
+    : cluster_(cluster),
+      quarantined_(cluster.metrics().counter("dht", "entries_quarantined")),
+      repaired_(cluster.metrics().counter("dht", "entries_repaired")),
+      resync_shards_(cluster.metrics().counter("dht", "resync_shards")),
+      resync_records_(cluster.metrics().counter("dht", "resync_records")) {}
+
 bool IntegrityScrub::verify_entry(const ContentHash& h, EntityId e) const {
   return holds(cluster_, h, e, /*rehash=*/true);
 }
 
 void IntegrityScrub::quarantine(NodeId member, const ContentHash& h, EntityId e) {
   cluster_.daemon(member).store().remove(h, e);
-  // The integrity cells are created on first quarantine, so corruption-free
-  // runs keep their metric snapshots byte-identical to builds without the
-  // scrub.
-  cluster_.metrics().counter("dht", "entries_quarantined").inc();
+  quarantined_.inc();
   cluster_.blackbox().record(raw(member), cluster_.sim().now(), obs::FrEvent::kEntryQuarantined,
                              static_cast<std::uint16_t>(raw(e)),
                              raw(cluster_.registry().host_of(e)), h.lo);
@@ -65,6 +69,8 @@ void IntegrityScrub::heal() {
   }
   ResyncReport streams;
   const std::vector<bool> orphaned = sync_dirty_shards(cluster_, streams);
+  resync_shards_.inc(streams.shards_synced);
+  resync_records_.inc(streams.records_streamed);
   // Rebuilds the orphans, then delivers (or loses) all of the repair traffic.
   (void)republish(cluster_, [&](std::uint32_t home) { return orphaned[home]; });
 }
@@ -87,7 +93,7 @@ ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
       // certified repaired.
       total.repaired += pending_.size();
       for (const Quarantined& q : pending_) {
-        cluster_.metrics().counter("dht", "entries_repaired").inc();
+        repaired_.inc();
         cluster_.blackbox().record(raw(q.member), cluster_.sim().now(),
                                    obs::FrEvent::kEntryRepaired,
                                    static_cast<std::uint16_t>(raw(q.entity)),

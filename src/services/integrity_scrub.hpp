@@ -40,7 +40,7 @@ struct ScrubReport {
 
 class IntegrityScrub {
  public:
-  explicit IntegrityScrub(core::Cluster& cluster) : cluster_(cluster) {}
+  explicit IntegrityScrub(core::Cluster& cluster);
 
   IntegrityScrub(const IntegrityScrub&) = delete;
   IntegrityScrub& operator=(const IntegrityScrub&) = delete;
@@ -69,11 +69,9 @@ class IntegrityScrub {
   void quarantine(NodeId member, const ContentHash& h, EntityId e);
 
   [[nodiscard]] std::uint64_t total_quarantined() const noexcept {
-    return cluster_.metrics().counter_total("dht", "entries_quarantined");
+    return quarantined_.value();
   }
-  [[nodiscard]] std::uint64_t total_repaired() const noexcept {
-    return cluster_.metrics().counter_total("dht", "entries_repaired");
-  }
+  [[nodiscard]] std::uint64_t total_repaired() const noexcept { return repaired_.value(); }
   /// Quarantined entries not yet certified healed by a clean verify pass.
   [[nodiscard]] std::size_t pending_repairs() const noexcept { return pending_.size(); }
 
@@ -88,6 +86,10 @@ class IntegrityScrub {
 
   core::Cluster& cluster_;
   std::vector<Quarantined> pending_;
+  obs::Counter& quarantined_;     // dht/entries_quarantined
+  obs::Counter& repaired_;        // dht/entries_repaired
+  obs::Counter& resync_shards_;   // dht/resync_shards (heal streams)
+  obs::Counter& resync_records_;  // dht/resync_records
 };
 
 }  // namespace concord::services

@@ -80,8 +80,6 @@ std::vector<bool> sync_dirty_shards(core::Cluster& c, ResyncReport& rep) {
       for (const auto& r : slice(t, home)) t.store().remove(r.hash, r.entity);
       ++rep.shards_synced;
       rep.records_streamed += records->size();
-      c.metrics().counter("dht", "resync_shards").inc();
-      c.metrics().counter("dht", "resync_records").inc(records->size());
 
       // An empty shard still sends its last-chunk marker so the target can
       // flip clean.

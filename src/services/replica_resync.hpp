@@ -15,8 +15,8 @@
 // Like ShardRecovery, the service registers as an epoch listener and runs
 // after every detection window that changes the view (after the cluster's
 // own dirty-marking listener, so shard_insync() already reflects the new
-// epoch). The whole service is a no-op at R = 1: it sends nothing, creates
-// no metric cells, and leaves every snapshot byte-identical.
+// epoch). The whole service is a no-op at R = 1: it sends nothing, and its
+// dht/resync_* cells read zero.
 #pragma once
 
 #include "core/cluster.hpp"
@@ -50,12 +50,15 @@ class ReplicaResync {
   /// Site-wide dht/resync_records: every shard stream's records, whichever
   /// service triggered it.
   [[nodiscard]] std::uint64_t total_records_streamed() const noexcept {
-    return cluster_.metrics().counter_total("dht", "resync_records");
+    return records_.value();
   }
 
  private:
   core::Cluster& cluster_;
   ResyncReport last_;
+  obs::Counter& runs_;
+  obs::Counter& shards_;   // dht/resync_shards
+  obs::Counter& records_;  // dht/resync_records
 };
 
 }  // namespace concord::services

@@ -7,9 +7,11 @@
 namespace concord::services {
 
 ShardRecovery::ShardRecovery(core::Cluster& cluster, bool auto_recover)
-    : cluster_(cluster), prev_alive_(cluster.placement().alive()) {
-  runs_ = &cluster_.metrics().counter("dht", "recovery_runs");
-  republished_ = &cluster_.metrics().counter("dht", "recovery_republished");
+    : cluster_(cluster),
+      prev_alive_(cluster.placement().alive()),
+      runs_(cluster.metrics().counter("dht", "recovery_runs")),
+      republished_(cluster.metrics().counter("dht", "recovery_republished")),
+      skipped_replicated_(cluster.metrics().counter("dht", "recovery_skipped_replicated")) {
   if (auto_recover) {
     // Registered after the cluster's own placement and dirty-marking
     // listeners, so by the time this fires owner() already answers under
@@ -21,7 +23,7 @@ ShardRecovery::ShardRecovery(core::Cluster& cluster, bool auto_recover)
 RecoveryReport ShardRecovery::recover() {
   RecoveryReport rep{.epoch = cluster_.membership().epoch};
   const sim::Time t0 = cluster_.sim().now();
-  runs_->inc();
+  runs_.inc();
 
   // Per home: skip it (its group is unchanged, or a donor that served it
   // before the change survives and ReplicaResync streams it), or republish
@@ -44,11 +46,8 @@ RecoveryReport ShardRecovery::recover() {
     if (deferred[home]) ++rep.skipped_replicated;
     return rebuilt[home];
   });
-  republished_->inc(rep.republished);
-  if (const std::uint64_t skipped = rep.skipped_replicated; skipped > 0) {
-    // Lazy: R = 1 snapshots keep their exact pre-replication cell set.
-    cluster_.metrics().counter("dht", "recovery_skipped_replicated").inc(skipped);
-  }
+  republished_.inc(rep.republished);
+  skipped_replicated_.inc(rep.skipped_replicated);
   rep.latency = cluster_.sim().now() - t0;
   return rep;
 }

@@ -51,7 +51,7 @@ class ShardRecovery {
 
   [[nodiscard]] const RecoveryReport& last_report() const noexcept { return last_; }
   [[nodiscard]] std::uint64_t total_republished() const noexcept {
-    return republished_->value();
+    return republished_.value();
   }
 
  private:
@@ -60,8 +60,9 @@ class ShardRecovery {
   // at construction, then the one each recovery ran against.
   std::vector<bool> prev_alive_;
   RecoveryReport last_;
-  obs::Counter* runs_ = nullptr;
-  obs::Counter* republished_ = nullptr;
+  obs::Counter& runs_;
+  obs::Counter& republished_;
+  obs::Counter& skipped_replicated_;
 };
 
 }  // namespace concord::services

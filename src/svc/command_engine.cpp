@@ -114,14 +114,8 @@ CommandEngine::CommandEngine(core::Cluster& cluster) : cluster_(cluster) {
   cells_.local_uncovered = &r.counter("svc", "local_uncovered");
   cells_.nodes_excluded = &r.counter("svc", "nodes_excluded");
   cells_.commands_degraded = &r.counter("svc", "commands_degraded");
+  cells_.pressure_events = &r.counter("svc", "pressure_events");
   install_handlers();
-}
-
-obs::Counter& CommandEngine::pressure_cell() {
-  if (pressure_cell_ == nullptr) {
-    pressure_cell_ = &cluster_.metrics().counter("svc", "pressure_events");
-  }
-  return *pressure_cell_;
 }
 
 void CommandEngine::install_handlers() {
@@ -238,7 +232,7 @@ void CommandEngine::on_phase_deadline() {
             exclude_node(node_id(dead), Status::kUnavailable);
           }
           if (!exr.barrier_waiting.empty()) {
-            if (exr.deadline_extensions_used < exr.spec->max_deadline_extensions) {
+            if (exr.deadline_extensions_used < kMaxDeadlineExtensions) {
               // The stragglers answer probes: alive, just slow. Wait more.
               ++exr.deadline_extensions_used;
               arm_deadline();
@@ -568,7 +562,7 @@ void CommandEngine::dispatch_hash(core::ServiceDaemon& d, std::uint64_t seq) {
         // kUnavailable means the circuit breaker fast-failed the dispatch:
         // overload evidence, distinct from a plain timeout.
         if (s == Status::kUnavailable) {
-          pressure_cell().inc();
+          cells_.pressure_events->inc();
           cluster_.blackbox().record(raw(d.id()), cluster_.sim().now(),
                                      obs::FrEvent::kPressure, 0, 0, seq);
         }
@@ -864,7 +858,7 @@ CommandStats CommandEngine::execute(ApplicationService& service, const CommandSp
   const std::uint64_t base_blocks = cells_.local_blocks->value();
   const std::uint64_t base_covered = cells_.local_covered->value();
   const std::uint64_t base_uncovered = cells_.local_uncovered->value();
-  const std::uint64_t base_pressure = pressure_value();
+  const std::uint64_t base_pressure = cells_.pressure_events->value();
   const std::uint64_t base_shed = cluster_.fabric().total_traffic().msgs_shed;
   cells_.commands->inc();
 
@@ -883,7 +877,7 @@ CommandStats CommandEngine::execute(ApplicationService& service, const CommandSp
   // dispatch path plus datagrams shed at bounded ingress queues. The
   // collective phase is best-effort, so pressure degrades the command
   // rather than failing it — the local ground-truth phase stayed exact.
-  ex.stats.pressure_events = (pressure_value() - base_pressure) +
+  ex.stats.pressure_events = (cells_.pressure_events->value() - base_pressure) +
                              (cluster_.fabric().total_traffic().msgs_shed - base_shed);
   if (!ex.stats.failures.empty() || ex.stats.pressure_events > 0) {
     cells_.commands_degraded->inc();
@@ -916,11 +910,7 @@ CommandStats CommandEngine::execute(ApplicationService& service, const CommandSp
   tracer.add_arg(ex.cmd_span, "local_blocks", ex.stats.local_blocks);
   tracer.add_arg(ex.cmd_span, "local_covered", ex.stats.local_covered);
   tracer.add_arg(ex.cmd_span, "local_uncovered", ex.stats.local_uncovered);
-  // Only stamped when pressure actually occurred, so unpressured runs keep
-  // their trace snapshots byte-identical.
-  if (ex.stats.pressure_events > 0) {
-    tracer.add_arg(ex.cmd_span, "pressure_events", ex.stats.pressure_events);
-  }
+  tracer.add_arg(ex.cmd_span, "pressure_events", ex.stats.pressure_events);
   tracer.end_span(ex.cmd_span, ex.stats.end);
   return ex.stats;
 }

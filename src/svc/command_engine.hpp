@@ -67,14 +67,15 @@ struct CommandSpec {
   /// long after the phase started, the controller probes every unresponsive
   /// node: probe-dead nodes are excluded from the command (recorded in
   /// CommandStats::failures, final status kDegraded), probe-alive nodes buy
-  /// the phase another deadline, up to max_deadline_extensions. 0 disables
+  /// the phase another deadline, up to kMaxDeadlineExtensions. 0 disables
   /// deadlines (a dead node then stalls the command forever, as before).
   sim::Time phase_deadline = 250 * sim::kMillisecond;
-  /// Extensions granted while stragglers still answer probes. Bounds how
-  /// long a command can wait on a live-but-slow node before force-excluding
-  /// it with kTimeout — commands terminate under any fault schedule.
-  int max_deadline_extensions = 64;
 };
+
+/// Extensions granted while stragglers still answer probes. Bounds how long
+/// a command can wait on a live-but-slow node before force-excluding it with
+/// kTimeout — commands terminate under any fault schedule.
+inline constexpr int kMaxDeadlineExtensions = 64;
 
 /// One node excluded from a command, and why: kUnavailable = failed a
 /// liveness probe at a phase deadline; kTimeout = kept answering probes but
@@ -182,16 +183,9 @@ class CommandEngine {
     obs::Counter* local_uncovered = nullptr;
     obs::Counter* nodes_excluded = nullptr;
     obs::Counter* commands_degraded = nullptr;
+    obs::Counter* pressure_events = nullptr;  // breaker fast-fails on dispatch
   };
   Cells cells_;
-
-  /// svc/pressure_events, created lazily on the first overload event so
-  /// unpressured runs keep their metrics snapshots byte-identical.
-  obs::Counter& pressure_cell();
-  [[nodiscard]] std::uint64_t pressure_value() const noexcept {
-    return pressure_cell_ != nullptr ? pressure_cell_->value() : 0;
-  }
-  obs::Counter* pressure_cell_ = nullptr;
 };
 
 }  // namespace concord::svc

@@ -133,11 +133,12 @@ TEST(CausalTrace, DefaultOffLeavesTraceAndMetricsUntouched) {
   EXPECT_EQ(json.find("apply_batch"), std::string::npos)
       << "untraced batches leave no apply markers";
 
-  const std::string metrics = c->metrics().to_json();
-  EXPECT_EQ(metrics.find("watchdog"), std::string::npos)
-      << "lazy watchdog cells must not exist when never evaluated";
-  EXPECT_EQ(metrics.find("blackbox"), std::string::npos)
-      << "lazy dump counter must not exist when nothing dumped";
+  const obs::Registry& m = c->metrics();
+  EXPECT_EQ(m.counter_total("obs", "watchdog_runs"), 0u)
+      << "the watchdog is off by default and never evaluated";
+  EXPECT_EQ(m.counter_total("obs", "watchdog_violations"), 0u);
+  EXPECT_EQ(m.counter_total("obs", "blackbox_dumps"), 0u)
+      << "a healthy command dumps nothing";
 }
 
 TEST(CausalTrace, PropagationOnlyAddsWireBytesToTracedDatagrams) {

@@ -7,8 +7,8 @@
 //   * stressed — R = 2 with loss, checksums plus corruption, duplicates, a
 //                small ingress queue with a service rate, pressure control,
 //                circuit breakers, the watchdog, and one crash + restart, so
-//                the lazily created shed, depth, corrupt, remap, pressure and
-//                watchdog cells fire.
+//                the shed, depth, corrupt, remap, pressure and watchdog cells
+//                count something.
 // Each is snapshotted right after construction and again at the end. Only
 // paths that never charge the calibrated CostModel run here (no commands,
 // queries, audits or repair services); the one calibrated cell the scan path

@@ -297,6 +297,21 @@ TEST(Observability, LegacyStatsViewsMatchRegistry) {
                 m.counter_total("mem", "removes_emitted"));
 }
 
+TEST(Observability, ConservationHoldsAfterTrafficReset) {
+  // reset_traffic() zeroes every "net" cell. Each term of the conservation
+  // identity is one of those cells, so the identity still balances after it.
+  auto cluster = make_site(4);
+  ASSERT_TRUE(ok(run_null_command(*cluster).status));
+  cluster->fabric().reset_traffic();
+  EXPECT_EQ(cluster->check_invariants(), 0u) << [&] {
+    std::string all;
+    for (const auto& f : cluster->watchdog().last_findings()) {
+      all += f.invariant + ": " + f.detail + "; ";
+    }
+    return all;
+  }();
+}
+
 // ------------------------------------------------------------ clear() fix
 
 TEST(Tracer, ClearInvalidatesOutstandingSpanIds) {
@@ -378,7 +393,7 @@ TEST(FlightRecorder, RingKeepsNewestAndDumpsDeterministically) {
   EXPECT_EQ(events->as_array()[3].get("ts")->as_int(), 9);
 
   EXPECT_EQ(r.counter_total("obs", "blackbox_dumps"), 0u)
-      << "dump counter must not exist before the first dump";
+      << "dump counter reads zero before the first dump";
   std::string sink_reason, sink_json;
   fr.set_sink([&](std::string_view reason, const std::string& json) {
     sink_reason = reason;
@@ -419,7 +434,7 @@ TEST(Watchdog, CountsRunsViolationsAndFiresHook) {
   EXPECT_EQ(r.counter_total("obs", "watchdog_runs"), 1u);
   EXPECT_EQ(r.counter_total("obs", "watchdog_violations"), 0u);
   EXPECT_EQ(r.counter_total("obs", "watchdog_viol.flaky"), 0u)
-      << "per-invariant cell must not exist before it fires";
+      << "per-invariant cell reads zero before it fires";
 
   std::vector<std::string> hooked;
   wd.on_violation([&](const obs::Watchdog::Finding& f) { hooked.push_back(f.invariant); });

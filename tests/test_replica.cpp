@@ -11,8 +11,9 @@
 //     and the read fails over instead of returning stale data;
 //   * ReplicaResync + DhtAudit converge to a clean database under loss and
 //     a second mid-schedule crash;
-//   * R = 1 runs are byte-identical to the pre-replication behavior, for
-//     any sim_workers count, with or without a ReplicaResync constructed;
+//   * R = 1 runs are byte-identical for any sim_workers count, and a
+//     ReplicaResync constructed at R = 1 changes nothing but its own
+//     zero-valued cells;
 //   * the repair services' reports and per-type traffic on fixed crash ->
 //     heal -> audit schedules are pinned exactly.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -411,11 +413,13 @@ TEST(ReplicaAudit, FaultFreeRunAtRThreeIsCleanWithBalancedReplication) {
 // ---------------------------------------------------------------------------
 // R = 1 byte-identity: the replication machinery must be invisible — same
 // metric bytes, same causal trace, same virtual clock — at any sim_workers
-// count, with or without a ReplicaResync service constructed.
+// count; a ReplicaResync service constructed at R = 1 adds only its own
+// dht/resync_* cells, each reading zero.
 // ---------------------------------------------------------------------------
 
 struct RunFingerprint {
   std::string metrics;
+  std::string csv;
   std::string trace;
   sim::Time now = 0;
 };
@@ -443,8 +447,8 @@ RunFingerprint r1_fingerprint(std::size_t workers, bool with_resync) {
     (void)c->scan_all();
     (void)c->detect();
   }
-  return RunFingerprint{c->metrics().to_json(), c->tracer().to_chrome_json(),
-                        c->sim().now()};
+  return RunFingerprint{c->metrics().to_json(), c->metrics().to_csv(),
+                        c->tracer().to_chrome_json(), c->sim().now()};
 }
 
 TEST(ReplicaByteIdentity, ROneRunsIdenticalAcrossWorkersAndWithResyncAttached) {
@@ -456,10 +460,23 @@ TEST(ReplicaByteIdentity, ROneRunsIdenticalAcrossWorkersAndWithResyncAttached) {
     EXPECT_EQ(base.trace, f.trace) << workers << " workers";
     EXPECT_EQ(base.now, f.now) << workers << " workers";
   }
-  // A ReplicaResync constructed at R = 1 is a pure no-op: no lazy metric
-  // cells, no traffic, no clock movement.
+  // A ReplicaResync constructed at R = 1 is a pure no-op: no traffic, no
+  // clock movement, and its own cells count nothing. Every other row of the
+  // snapshot is unchanged.
   const RunFingerprint with = r1_fingerprint(1, /*with_resync=*/true);
-  EXPECT_EQ(base.metrics, with.metrics);
+  std::istringstream rows(with.csv);
+  std::string others;
+  std::size_t resync_rows = 0;
+  for (std::string row; std::getline(rows, row);) {
+    if (row.rfind("counter,dht,resync_", 0) == 0) {
+      ++resync_rows;
+      EXPECT_EQ(row.substr(row.find(",-1,")), ",-1,0,,,,") << row;
+      continue;
+    }
+    others += row + '\n';
+  }
+  EXPECT_EQ(resync_rows, 3u) << "resync_runs, resync_shards, resync_records";
+  EXPECT_EQ(base.csv, others);
   EXPECT_EQ(base.trace, with.trace);
   EXPECT_EQ(base.now, with.now);
 }

@@ -395,8 +395,8 @@ TEST_F(FabricFixture, PerLinkLossStacksOnGlobalRate) {
 /// ingress, slow service, credit flow control, AIMD pressure controller) and
 /// returns the metric snapshot + final virtual clock. The overload machinery
 /// exercises every staging edge the serial scan has: deferred flushes, local
-/// shedding, credit grants at delivery time, and lazily created pressure
-/// counters first firing on scan-pool worker threads.
+/// shedding, credit grants at delivery time, and pressure counters ticking on
+/// scan-pool worker threads.
 std::pair<std::string, sim::Time> pressured_fingerprint(std::size_t workers) {
   core::ClusterParams p;
   p.num_nodes = 6;
