@@ -14,7 +14,8 @@
 //     the contract, not a best effort).
 //
 // `--smoke` runs the same scale (the sweep IS the smoke: the point is that
-// 4096 nodes / 10M blocks fits the CI budget) and writes BENCH_pr7.json.
+// 4096 nodes / 10M blocks fits the CI budget) and writes BENCH_pr7.json,
+// whose scan_ms rows carry each worker count's phase split too.
 // The >= 2x speedup gate at sim_workers=4 only arms on hosts with >= 4
 // hardware threads — a 1-core runner can demonstrate determinism, not
 // parallel speedup.
@@ -185,8 +186,13 @@ int main(int argc, char** argv) {
                    kNodes, static_cast<unsigned long long>(kTotalBlocks),
                    kBlockSize, store.chained_bpe, store.compact_bpe, ratio);
       for (std::size_t i = 0; i < rows.size(); ++i) {
-        std::fprintf(f, "%s{\"workers\":%zu,\"ms\":%lld}", i == 0 ? "" : ",",
-                     rows[i].workers, static_cast<long long>(rows[i].scan_ms));
+        const core::ScanPhaseHostNs& ph = rows[i].phases;
+        std::fprintf(f,
+                     "%s{\"workers\":%zu,\"ms\":%lld,\"phases_ms\":{\"scan\":%.2f,"
+                     "\"merge\":%.2f,\"run\":%.2f,\"apply\":%.2f}}",
+                     i == 0 ? "" : ",", rows[i].workers,
+                     static_cast<long long>(rows[i].scan_ms), bench::to_ms(ph.scan),
+                     bench::to_ms(ph.merge), bench::to_ms(ph.run), bench::to_ms(ph.apply));
       }
       std::fprintf(f,
                    "],\"speedup_4w\":%.3f,\"hw_threads\":%zu,"

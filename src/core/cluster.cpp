@@ -276,7 +276,11 @@ mem::ScanStats Cluster::scan_all() {
   //      under each node's scan span, reproducing the serial pipeline's rng
   //      draws, flow events, and egress bookkeeping byte-for-byte (the
   //      virtual clock never advances during a scan walk, so deferral is
-  //      unobservable); then the fabric drains the epoch's deliveries;
+  //      unobservable). Meanwhile the fabric is in bulk mode: it parks each
+  //      delivery with the event seq it would have had and sorts them by
+  //      time when the loop ends; sim_.run() then fires them merged with the
+  //      heap in exact (time, seq) order, so crashes, grants, flows and rng
+  //      draws interleave with them exactly as they would on the heap;
   //   3. parallel apply — each daemon replays its staged inbox into its own
   //      shard, touching only per-node state and metric cells.
   std::vector<ServiceDaemon*> live;
@@ -296,6 +300,7 @@ mem::ScanStats Cluster::scan_all() {
   for (ServiceDaemon* d : live) d->set_send_staging(false);
   std::int64_t t1 = obs::host_now_ns();
   scan_phase_host_ns_.scan += t1 - t0;
+  fabric_.set_bulk(true);
   for (std::size_t i = 0; i < live.size(); ++i) {
     const mem::ScanStats& s = stats[i];
     const auto tid = static_cast<std::uint32_t>(raw(live[i]->id()));
@@ -324,9 +329,10 @@ mem::ScanStats Cluster::scan_all() {
     total.removes_emitted += s.removes_emitted;
     total.throttled_blocks += s.throttled_blocks;
   }
+  fabric_.set_bulk(false);
   t0 = obs::host_now_ns();
   scan_phase_host_ns_.merge += t0 - t1;
-  // Deliver (or lose) every update datagram. This drains the event queue,
+  // Deliver (or lose) every update datagram. This drains the heap and run,
   // so once it returns no datagram still references a send stage.
   sim_.run();
   t1 = obs::host_now_ns();

@@ -89,7 +89,7 @@ struct ClusterParams {
 /// registry or any snapshot, and varies from run to run.
 struct ScanPhaseHostNs {
   std::int64_t scan = 0;   // parallel scan: hash, route, batch into stages
-  std::int64_t merge = 0;  // sequential merge: replay staged sends
+  std::int64_t merge = 0;  // sequential merge: replay staged sends, sort the run
   std::int64_t run = 0;    // sim().run(): deliver and stage applies
   std::int64_t apply = 0;  // parallel apply into the shards
 };

@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -268,6 +269,16 @@ class Fabric {
 
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
 
+  /// Bulk delivery, held on by the cluster's scan-epoch merge pass. While
+  /// on, a delivery is parked with the seq the event heap would have given
+  /// it instead of becoming a heap event. Turning it off sorts the parked
+  /// keys by time, stably (they were parked in seq order, so the result is
+  /// (time, seq) order), and loads them into the simulation as its sorted
+  /// run: every delivery fires exactly when and in the order the heap would
+  /// have fired it, so every observable stays the same. The parked buffers
+  /// keep their capacity from epoch to epoch.
+  void set_bulk(bool on);
+
   // --- fault surface (driven by net::FaultInjector) ---------------------
   // A node that is not reachable neither sends nor receives: its egress is
   // blackholed at the source and anything addressed to it vanishes in
@@ -360,6 +371,12 @@ class Fabric {
                      MsgType type);
 
   void deliver_at(sim::Time when, Message msg, Delivery how);
+  /// A delivery firing: the ingress bookkeeping, the in-flight fault
+  /// re-check, receive accounting, and the handler under the message's trace
+  /// context. Heap events and run entries alike end here.
+  void arrive(Message& m, Delivery how);
+  /// LSD radix sort of run_keys_ by time (stable); returns the sorted keys.
+  std::span<const sim::RunKey> sort_run_keys();
 
   /// Tail-drop admission for a datagram headed to msg.dst. Returns kQueued /
   /// kDatagram on admission; counts the shed and returns nullopt when the
@@ -437,6 +454,19 @@ class Fabric {
   std::unordered_map<std::uint64_t, double> lossy_links_;  // per-link loss
   CorruptFn corruptor_;  // silent-poisoning hook (checksums off)
   BreakerTripFn on_breaker_trip_;
+
+  // Bulk delivery (set_bulk): parked messages in seq order, their run keys
+  // (index = position in parked_), the radix sort's second buffer, and how
+  // many of the loaded run have yet to fire.
+  struct Parked {
+    Message msg;
+    Delivery how;
+  };
+  bool bulk_ = false;
+  std::vector<Parked> parked_;
+  std::vector<sim::RunKey> run_keys_;
+  std::vector<sim::RunKey> sort_buf_;
+  std::size_t unfired_ = 0;
 
   // Causal tracing (all inert unless trace_propagation_ is set).
   bool trace_propagation_ = false;

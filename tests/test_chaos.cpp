@@ -614,6 +614,93 @@ RunFingerprint chaos_fingerprint(std::size_t workers) {
                         c->sim().now()};
 }
 
+/// What a crash scheduled inside one scan epoch's delivery window leaves.
+struct MidEpochCrash {
+  std::string snapshot;            // metric snapshot after the epoch
+  std::uint64_t applied_before = 0;  // victim's dht inserts + removes
+  std::uint64_t applied_at_crash = 0;
+  std::uint64_t applied_after = 0;
+  std::uint64_t received_before = 0;  // victim's net msgs_received
+  std::uint64_t received_at_crash = 0;
+  std::uint64_t inflight_before = 0;  // net/msgs_blackholed_inflight
+  std::uint64_t inflight_after = 0;
+  std::size_t victim_entries = 0;  // victim shard size after the epoch
+  std::uint64_t watchdog_runs = 0;
+  std::uint64_t watchdog_violations = 0;
+};
+
+/// Loss, duplication and a bounded, slow ingress queue on; a crash of node
+/// 3 scheduled on the virtual clock to fire after the epoch's first
+/// deliveries reach it and before its last.
+MidEpochCrash mid_epoch_crash(std::size_t workers) {
+  constexpr std::uint32_t kVictim = 3;
+  core::ClusterParams p;
+  p.num_nodes = 6;
+  p.max_entities = 64;
+  p.seed = 5151;
+  p.update_batching.mtu_bytes = 512;
+  p.fabric.loss_rate = 0.05;
+  p.fabric.duplicate_rate = 0.05;
+  p.fabric.ingress_queue_limit = 12;
+  p.fabric.ingress_service = 50 * sim::kMicrosecond;
+  p.watchdog.enabled = true;
+  p.sim_workers = workers;
+  auto c = std::make_unique<core::Cluster>(p);
+  const auto ids = populate(*c, 1, 128);
+  for (const EntityId id : ids) workload::mutate(c->entity(id), 1.0, 77 + raw(id));
+
+  obs::Registry& m = c->metrics();
+  const auto applied = [&m] {
+    return m.counter("dht", "inserts", kVictim).value() +
+           m.counter("dht", "removes", kVictim).value();
+  };
+  const auto received = [&m] { return m.counter("net", "msgs_received", kVictim).value(); };
+  const auto inflight = [&m] { return m.counter("net", "msgs_blackholed_inflight").value(); };
+  MidEpochCrash out;
+  out.applied_before = applied();
+  out.received_before = received();
+  out.inflight_before = inflight();
+  // Registered after the cluster's own hook, so it sees the state that
+  // hook leaves: the staged inbox applied, then the shard wiped.
+  c->fault().on_crash([&](NodeId n) {
+    if (raw(n) != kVictim) return;
+    out.applied_at_crash = applied();
+    out.received_at_crash = received();
+  });
+  const sim::Time crash_at =
+      c->sim().now() + p.fabric.base_latency + 4 * p.fabric.ingress_service;
+  c->fault().schedule({net::FaultEvent{crash_at, net::FaultKind::kCrash, node_id(kVictim)}});
+  (void)c->scan_all();
+  out.applied_after = applied();
+  out.inflight_after = inflight();
+  out.victim_entries = c->daemon(node_id(kVictim)).store().unique_hashes();
+  out.watchdog_runs = c->watchdog().runs();
+  out.watchdog_violations = c->watchdog().violations();
+  out.snapshot = m.to_json();
+  return out;
+}
+
+TEST(ShardedScan, CrashInsideAnEpochsDeliveryWindow) {
+  // The crash is a heap event that fires between two of the epoch's
+  // deliveries to the victim: the ones before it land in the victim's
+  // staged inbox and the crash handler applies them before the wipe; the
+  // ones after it are blackholed in flight and never applied.
+  const MidEpochCrash serial = mid_epoch_crash(1);
+  EXPECT_GT(serial.received_at_crash, serial.received_before)
+      << "the crash must fire after the first delivery to the victim";
+  EXPECT_GT(serial.applied_at_crash, serial.applied_before)
+      << "the crash handler applies what was delivered before it";
+  EXPECT_EQ(serial.applied_after, serial.applied_at_crash)
+      << "nothing reaches the victim's shard after the crash";
+  EXPECT_EQ(serial.victim_entries, 0u);
+  EXPECT_GT(serial.inflight_after, serial.inflight_before)
+      << "deliveries after the crash count as blackholed in flight";
+  EXPECT_GE(serial.watchdog_runs, 1u);
+  EXPECT_EQ(serial.watchdog_violations, 0u);
+  const MidEpochCrash sharded = mid_epoch_crash(4);
+  EXPECT_EQ(sharded.snapshot, serial.snapshot);
+}
+
 TEST(ShardedScan, ChaosRunByteIdenticalAcrossWorkerCounts) {
   // The sim_workers knob must change real wall-time only: the staged scan
   // pipeline replays sends in canonical node order, so rng draws, losses,
