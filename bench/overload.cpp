@@ -49,7 +49,7 @@ std::unique_ptr<core::Cluster> make_cluster(std::uint64_t seed) {
   p.fabric.ingress_service = 100 * sim::kMicrosecond;
   p.fabric.retry_budget = 20 * sim::kMillisecond;
   p.fabric.breaker_threshold = 8;
-  p.pressure.enabled = true;
+  p.pressure = true;
   return p.num_nodes != 0 ? std::make_unique<core::Cluster>(p) : nullptr;
 }
 

@@ -19,7 +19,6 @@ class Bitmap {
   explicit Bitmap(std::size_t nbits) : nbits_(nbits), words_((nbits + 63) / 64, 0) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return nbits_; }
-  [[nodiscard]] bool empty_bits() const noexcept { return count() == 0; }
 
   void set(std::size_t i) {
     grow_to(i + 1);

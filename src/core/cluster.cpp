@@ -23,7 +23,7 @@ Cluster::Cluster(ClusterParams params)
       placement_(params.single_node_dht ? 1 : params.num_nodes),
       registry_(params.max_entities),
       fault_(sim_, fabric_),
-      detector_(sim_, fabric_, params.num_nodes, params.detector) {
+      detector_(sim_, fabric_, params.num_nodes) {
   if (!params_.single_node_dht) placement_.set_replication(params_.dht_replication);
   fabric_.bind_flight_recorder(&blackbox_);
   fabric_.bind_tracer(&tracer_);
@@ -34,7 +34,7 @@ Cluster::Cluster(ClusterParams params)
     scan_cost_cells_.push_back(
         &metrics_.histogram("mem", "scan_cost_ns", static_cast<std::int32_t>(n)));
     daemons_.push_back(std::make_unique<ServiceDaemon>(
-        node_id(n), params_.max_entities, params_.alloc_mode, placement_, fabric_,
+        node_id(n), params_.max_entities, placement_, fabric_,
         hash::BlockHasher(params_.hash_algorithm), params_.detect_mode,
         params_.update_batching));
     daemons_.back()->monitor().set_hash_workers(params_.hash_workers);
@@ -139,9 +139,7 @@ Cluster::Cluster(ClusterParams params)
         break;
     }
   });
-  if (params_.pressure.enabled) {
-    pressure_ = std::make_unique<PressureController>(fabric_, params_.pressure, daemons_);
-  }
+  if (params_.pressure) pressure_ = std::make_unique<PressureController>(fabric_, daemons_);
   watchdog_.set_hard_fail(params.watchdog.hard_fail);
   watchdog_.on_violation([this](const obs::Watchdog::Finding& f) {
     blackbox_.record_all(sim_.now(), obs::FrEvent::kWatchdogViolation);

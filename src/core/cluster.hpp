@@ -38,7 +38,6 @@ struct WatchdogParams {
 struct ClusterParams {
   std::uint32_t num_nodes = 8;
   std::uint32_t max_entities = 256;
-  dht::AllocMode alloc_mode = dht::AllocMode::kPool;
   hash::Algorithm hash_algorithm = hash::Algorithm::kMd5;
   mem::DetectMode detect_mode = mem::DetectMode::kFullScan;
   net::FabricParams fabric;
@@ -67,13 +66,10 @@ struct ClusterParams {
   /// hardware core (capped). Like hash_workers, this changes real wall-time
   /// only — metric, trace, and snapshot bytes are identical for every value.
   std::size_t sim_workers = 1;
-  /// Failure-detector timing (heartbeat period, rounds per window, probe
-  /// timeout). Defaults suit the emulated fabric's millisecond latencies.
-  DetectorParams detector;
-  /// Overload protection: when .enabled, every daemon runs credit-based flow
+  /// Overload protection: when true, every daemon runs credit-based flow
   /// control and the PressureController adapts monitor budgets and flush
   /// quotas each scan epoch. Off by default; its cells read zero when off.
-  PressureParams pressure;
+  bool pressure = false;
   /// Causal tracing: when true the fabric stamps every datagram from the
   /// sender's ambient trace context (commands, scans), charges the
   /// kTraceCtxBytes wire cost, and emits flow events linking send to
@@ -177,8 +173,7 @@ class Cluster {
     return scan_phase_host_ns_;
   }
 
-  /// The AIMD overload controller, or nullptr when params.pressure.enabled
-  /// is false.
+  /// The AIMD overload controller, or nullptr when params.pressure is false.
   [[nodiscard]] PressureController* pressure() noexcept { return pressure_.get(); }
   [[nodiscard]] const PressureController* pressure() const noexcept {
     return pressure_.get();

@@ -22,11 +22,11 @@ const MembershipView& FailureDetector::run_window() {
   if (num_nodes_ < 2) return view_;  // a lone node has no peers to hear it
   heard_.assign(num_nodes_, 0);
   window_open_ = true;
-  for (int r = 0; r < params_.rounds_per_window; ++r) {
+  for (int r = 0; r < kRoundsPerWindow; ++r) {
     send_round();
-    sim_.run_until(sim_.now() + params_.period);
+    sim_.run_until(sim_.now() + kPeriod);
   }
-  sim_.run_until(sim_.now() + params_.margin);  // let stragglers land
+  sim_.run_until(sim_.now() + kMargin);  // let stragglers land
   window_open_ = false;
 
   std::vector<bool> alive(num_nodes_);
@@ -67,7 +67,7 @@ void FailureDetector::probe(NodeId from, NodeId target, ProbeCallback cb) {
         from, target, net::MsgType::kHeartbeat,
         HeartbeatMsg{HeartbeatMsg::Kind::kProbe, view_.epoch, id}, kHeartbeatBytes));
   }
-  sim_.after(params_.probe_timeout, [this, id]() {
+  sim_.after(kProbeTimeout, [this, id]() {
     const auto it = probes_.find(id);
     if (it == probes_.end()) return;
     PendingProbe pending = std::move(it->second);

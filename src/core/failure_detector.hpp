@@ -5,8 +5,8 @@
 // operating modes, both deterministic:
 //
 //   * run_window() — the periodic detection sweep. Every node unicasts a
-//     small kHeartbeat datagram to every other node for a configurable
-//     number of rounds, the simulation is pumped through the window, and a
+//     small kHeartbeat datagram to every other node for kRoundsPerWindow
+//     rounds, the simulation is pumped through the window, and a
 //     node that NO peer heard from is suspected. When the resulting alive
 //     set differs from the current view the epoch advances and listeners
 //     (placement remap, shard recovery) fire. This pumps the event loop
@@ -40,13 +40,6 @@ namespace concord::core {
 
 class ServiceDaemon;
 
-struct DetectorParams {
-  sim::Time period = 5 * sim::kMillisecond;  // one heartbeat round
-  int rounds_per_window = 3;                 // rounds per detection window
-  sim::Time margin = 5 * sim::kMillisecond;  // post-window settle time
-  sim::Time probe_timeout = 10 * sim::kMillisecond;
-};
-
 /// Payload of kHeartbeat datagrams.
 struct HeartbeatMsg {
   enum class Kind : std::uint8_t { kBeat, kProbe, kProbeReply } kind = Kind::kBeat;
@@ -60,9 +53,16 @@ class FailureDetector {
   using EpochListener = std::function<void(const MembershipView&)>;
   using ProbeCallback = std::function<void(bool alive)>;
 
-  FailureDetector(sim::Simulation& simulation, net::Fabric& fabric,
-                  std::uint32_t num_nodes, DetectorParams params = {})
-      : sim_(simulation), fabric_(fabric), num_nodes_(num_nodes), params_(params) {
+  /// Timing, sized for the emulated fabric's millisecond latencies: a
+  /// window is kRoundsPerWindow heartbeat rounds kPeriod apart plus kMargin
+  /// for stragglers to land; a probe waits kProbeTimeout for its reply.
+  static constexpr sim::Time kPeriod = 5 * sim::kMillisecond;
+  static constexpr int kRoundsPerWindow = 3;
+  static constexpr sim::Time kMargin = 5 * sim::kMillisecond;
+  static constexpr sim::Time kProbeTimeout = 10 * sim::kMillisecond;
+
+  FailureDetector(sim::Simulation& simulation, net::Fabric& fabric, std::uint32_t num_nodes)
+      : sim_(simulation), fabric_(fabric), num_nodes_(num_nodes) {
     view_.alive.assign(num_nodes_, true);
   }
 
@@ -74,7 +74,7 @@ class FailureDetector {
   const MembershipView& run_window();
 
   /// Event-driven probe: `from` asks whether `target` answers within
-  /// probe_timeout. Safe to call from inside event handlers.
+  /// kProbeTimeout. Safe to call from inside event handlers.
   void probe(NodeId from, NodeId target, ProbeCallback cb);
 
   /// Fabric receive hook for kHeartbeat, wired through each daemon.
@@ -83,7 +83,6 @@ class FailureDetector {
 
   [[nodiscard]] const MembershipView& view() const noexcept { return view_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return view_.epoch; }
-  [[nodiscard]] const DetectorParams& params() const noexcept { return params_; }
 
   /// Listeners fire (in registration order) whenever a window changes the
   /// view, after view() already reflects the new epoch.
@@ -113,7 +112,6 @@ class FailureDetector {
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   std::uint32_t num_nodes_;
-  DetectorParams params_;
   MembershipView view_;
   std::vector<std::uint32_t> heard_;  // per node: beats received this window
   std::vector<bool> hinted_;          // per node: breaker-sourced suspicion

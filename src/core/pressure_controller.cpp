@@ -8,19 +8,31 @@
 
 namespace concord::core {
 
+namespace {
+// AIMD bounds and steps: pressure multiplies both knobs by
+// kMultiplicativeDecrease, a calm epoch adds the step back, each clamped to
+// its [min, max].
+constexpr std::uint64_t kMinUpdateBudget = 64;
+constexpr std::uint64_t kMaxUpdateBudget = 65536;
+constexpr std::uint64_t kBudgetAdditiveStep = 512;
+constexpr std::uint64_t kMinFlushQuota = 1;
+constexpr std::uint64_t kMaxFlushQuota = 256;
+constexpr std::uint64_t kQuotaAdditiveStep = 4;
+constexpr double kMultiplicativeDecrease = 0.5;
+}  // namespace
+
 PressureController::PressureController(
-    net::Fabric& fabric, PressureParams params,
-    const std::vector<std::unique_ptr<ServiceDaemon>>& daemons)
-    : fabric_(fabric), params_(params) {
+    net::Fabric& fabric, const std::vector<std::unique_ptr<ServiceDaemon>>& daemons)
+    : fabric_(fabric) {
   obs::Registry& r = fabric_.metrics();
   tracked_.reserve(daemons.size());
   for (const auto& daemon : daemons) {
-    daemon->batcher().set_flow_control(true, params_.initial_credits);
+    daemon->batcher().set_flow_control(true, kInitialCredits);
     daemon->set_credit_grants(true);
     const auto node = static_cast<std::int32_t>(raw(daemon->id()));
     tracked_.push_back(Tracked{.daemon = daemon.get(),
-                               .budget = params_.initial_update_budget,
-                               .quota = params_.initial_flush_quota,
+                               .budget = kInitialUpdateBudget,
+                               .quota = kInitialFlushQuota,
                                .budget_gauge = &r.gauge("core", "update_budget", node),
                                .quota_gauge = &r.gauge("core", "flush_quota", node),
                                .credits_gauge = &r.gauge("core", "flow_credits", node)});
@@ -46,7 +58,6 @@ void PressureController::after_scan() {
   bool any_throttle = false;
   for (Tracked& t : tracked_) {
     UpdateBatcher& batcher = t.daemon->batcher();
-    const std::uint64_t deferred = batcher.deferred_events();
     const std::uint64_t shed_local = batcher.shed_local_records();
     const std::uint64_t ingress_shed = fabric_.traffic(t.daemon->id()).msgs_shed;
     // Pressure means *loss*: records dropped at the local buffer bound or
@@ -55,30 +66,29 @@ void PressureController::after_scan() {
     // clamping down on it would turn backpressure into a death spiral.
     const std::uint64_t local_pressure = (shed_local - t.prev_shed_local) +
                                          (ingress_shed - t.prev_ingress_shed);
-    t.prev_deferred = deferred;
     t.prev_shed_local = shed_local;
     t.prev_ingress_shed = ingress_shed;
 
     if (local_pressure > 0 || breaker_pressure) {
       t.budget = std::max(
-          params_.min_update_budget,
+          kMinUpdateBudget,
           static_cast<std::uint64_t>(static_cast<double>(t.budget) *
-                                     params_.multiplicative_decrease));
+                                     kMultiplicativeDecrease));
       t.quota = std::max(
-          params_.min_flush_quota,
+          kMinFlushQuota,
           static_cast<std::uint64_t>(static_cast<double>(t.quota) *
-                                     params_.multiplicative_decrease));
+                                     kMultiplicativeDecrease));
       t.throttled = true;
       any_throttle = true;
     } else {
-      t.budget = std::min(params_.max_update_budget, t.budget + params_.budget_additive_step);
-      t.quota = std::min(params_.max_flush_quota, t.quota + params_.quota_additive_step);
+      t.budget = std::min(kMaxUpdateBudget, t.budget + kBudgetAdditiveStep);
+      t.quota = std::min(kMaxFlushQuota, t.quota + kQuotaAdditiveStep);
       t.throttled = false;
       // A calm epoch also refills an empty purse. Grants normally ride back
       // on applied batches, so a sender that shed its entire backlog (nothing
       // in flight means nothing applied, means no grants) would starve
       // forever without this liveness escape.
-      if (batcher.credits() == 0) batcher.grant_credits(params_.initial_credits);
+      if (batcher.credits() == 0) batcher.grant_credits(kInitialCredits);
     }
     apply(t);
   }

@@ -33,25 +33,13 @@ namespace concord::core {
 
 class ServiceDaemon;
 
-struct PressureParams {
-  bool enabled = false;
-
-  // Credit flow control seeded into every attached daemon's batcher.
-  std::uint64_t initial_credits = 8;
-
-  // AIMD over the monitor's per-scan update budget (records emitted).
-  std::uint64_t initial_update_budget = 4096;
-  std::uint64_t min_update_budget = 64;
-  std::uint64_t max_update_budget = 65536;
-  std::uint64_t budget_additive_step = 512;
-  double multiplicative_decrease = 0.5;
-
-  // AIMD over the batcher's per-flush datagram quota.
-  std::uint64_t initial_flush_quota = 32;
-  std::uint64_t min_flush_quota = 1;
-  std::uint64_t max_flush_quota = 256;
-  std::uint64_t quota_additive_step = 4;
-};
+/// What every attached daemon starts from: the credits seeded into its
+/// batcher (and granted again when a calm epoch finds its purse empty), the
+/// monitor's per-scan update budget (records emitted) and the batcher's
+/// per-flush datagram quota.
+inline constexpr std::uint64_t kInitialCredits = 8;
+inline constexpr std::uint64_t kInitialUpdateBudget = 4096;
+inline constexpr std::uint64_t kInitialFlushQuota = 32;
 
 class PressureController {
  public:
@@ -60,7 +48,7 @@ class PressureController {
   /// them with the daemon's credits as per-node update_budget / flush_quota /
   /// flow_credits gauges (subsystem "core", in the fabric's registry).
   /// `daemons` come in ascending node order for deterministic adaptation.
-  PressureController(net::Fabric& fabric, PressureParams params,
+  PressureController(net::Fabric& fabric,
                      const std::vector<std::unique_ptr<ServiceDaemon>>& daemons);
 
   PressureController(const PressureController&) = delete;
@@ -84,7 +72,6 @@ class PressureController {
   };
   [[nodiscard]] std::vector<NodeSnapshot> snapshot() const;
 
-  [[nodiscard]] const PressureParams& params() const noexcept { return params_; }
   /// AIMD steps taken so far that decreased at least one daemon's knobs.
   [[nodiscard]] std::uint64_t throttle_events() const noexcept { return throttle_events_; }
 
@@ -93,7 +80,6 @@ class PressureController {
     ServiceDaemon* daemon = nullptr;
     std::uint64_t budget = 0;
     std::uint64_t quota = 0;
-    std::uint64_t prev_deferred = 0;
     std::uint64_t prev_shed_local = 0;
     std::uint64_t prev_ingress_shed = 0;
     bool throttled = false;
@@ -105,7 +91,6 @@ class PressureController {
   void apply(Tracked& t);
 
   net::Fabric& fabric_;
-  PressureParams params_;
   std::vector<Tracked> tracked_;  // node ascending
   std::uint64_t prev_breaker_trips_ = 0;
   std::uint64_t throttle_events_ = 0;

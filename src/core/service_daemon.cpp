@@ -12,14 +12,14 @@ namespace {
 std::int32_t label(NodeId n) { return static_cast<std::int32_t>(raw(n)); }
 }  // namespace
 
-ServiceDaemon::ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMode alloc_mode,
+ServiceDaemon::ServiceDaemon(NodeId id, std::uint32_t max_entities,
                              const dht::Placement& placement, net::Fabric& fabric,
                              hash::BlockHasher hasher, mem::DetectMode detect_mode,
                              BatchPolicy batching)
     : id_(id),
       placement_(placement),
       fabric_(fabric),
-      store_(max_entities, alloc_mode, &fabric.metrics(), label(id)),
+      store_(max_entities, dht::AllocMode::kPool, &fabric.metrics(), label(id)),
       monitor_(hasher, detect_mode, &fabric.metrics(), label(id)),
       batcher_(id, fabric, batching, &placement),
       updates_local_(fabric.metrics().counter("core", "updates_local", label(id))),

@@ -66,16 +66,14 @@ class ServiceDaemon {
   /// registry, labeled with `id`, as do the daemon's own update-routing
   /// counters (subsystem "core": updates_local applied to the co-located
   /// shard, updates_remote sent over the fabric).
-  ServiceDaemon(NodeId id, std::uint32_t max_entities, dht::AllocMode alloc_mode,
-                const dht::Placement& placement, net::Fabric& fabric,
-                hash::BlockHasher hasher, mem::DetectMode detect_mode,
+  ServiceDaemon(NodeId id, std::uint32_t max_entities, const dht::Placement& placement,
+                net::Fabric& fabric, hash::BlockHasher hasher, mem::DetectMode detect_mode,
                 BatchPolicy batching = {});
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
   // --- local entity tracking (NSM surface) ---
   void track(mem::MemoryEntity& entity) { monitor_.attach(entity); }
-  void untrack(EntityId id) { monitor_.detach(id); }
 
   /// One monitor epoch: hash changed blocks and push each update to its
   /// shard owner over the unreliable datagram class — batched per owner when
@@ -168,7 +166,6 @@ class ServiceDaemon {
   /// kCreditGrant sized to its ingress headroom — the owner half of the
   /// credit-based flow-control loop (the sender half lives in the batcher).
   void set_credit_grants(bool on) noexcept { credit_grants_ = on; }
-  [[nodiscard]] bool credit_grants() const noexcept { return credit_grants_; }
 
   // --- sharded-scan staging surface (core::Cluster only) ---
 

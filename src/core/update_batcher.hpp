@@ -201,7 +201,6 @@ class UpdateBatcher {
   /// Adds credits granted by a shard owner (capped; excess is dropped).
   void grant_credits(std::uint64_t n);
   [[nodiscard]] std::uint64_t credits() const noexcept { return credits_; }
-  [[nodiscard]] bool flow_control() const noexcept { return flow_control_; }
 
   /// While non-null, ship() appends its datagrams to `stage` instead of
   /// touching the fabric — the sharded-scan staging surface. The cluster

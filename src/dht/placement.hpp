@@ -81,10 +81,6 @@ class Placement {
   [[nodiscard]] std::vector<NodeId> replicas(const ContentHash& h) const {
     return shard_replicas_in(alive_, home(h));
   }
-  [[nodiscard]] std::vector<NodeId> replicas_in(const std::vector<bool>& alive,
-                                                const ContentHash& h) const {
-    return shard_replicas_in(alive, home(h));
-  }
 
   /// Replica group of a home shard index (replicas() without re-hashing;
   /// per-shard enumeration during resync walks all homes once).

@@ -80,11 +80,6 @@ void Fabric::set_link_corrupt(NodeId src, NodeId dst, double p) {
   }
 }
 
-double Fabric::link_corrupt(NodeId src, NodeId dst) const {
-  const auto it = corrupt_links_.find(link_key(src, dst));
-  return it == corrupt_links_.end() ? 0.0 : it->second;
-}
-
 bool Fabric::roll_corrupt(NodeId src, NodeId dst) {
   double p = params_.corrupt_rate;
   if (!corrupt_links_.empty()) {
@@ -145,12 +140,12 @@ sim::Time Fabric::transmit(NodeId src, NodeId dst, std::size_t wire_size, bool l
 }
 
 sim::Time Fabric::backoff_base(int failures) const noexcept {
-  sim::Time wait = params_.ack_timeout;
+  sim::Time wait = kAckTimeout;
   for (int i = 1; i < failures; ++i) {
     wait *= 2;
-    if (wait >= params_.max_backoff) return params_.max_backoff;
+    if (wait >= kMaxBackoff) return kMaxBackoff;
   }
-  return std::min(wait, params_.max_backoff);
+  return std::min(wait, kMaxBackoff);
 }
 
 sim::Time Fabric::backoff_wait(int failures) {
@@ -316,7 +311,7 @@ void Fabric::breaker_record_timeout(NodeId src, NodeId dst) {
   if (b->half_open) {
     // The half-open probe failed: re-open with a doubled (capped) cooldown.
     b->half_open = false;
-    b->cooldown = std::min<sim::Time>(b->cooldown * 2, 16 * params_.breaker_cooldown);
+    b->cooldown = std::min<sim::Time>(b->cooldown * 2, 16 * kBreakerCooldown);
     b->open_until = sim_.now() + b->cooldown;
     breaker_trips_.inc();
     if (recorder_ != nullptr) {
@@ -328,7 +323,7 @@ void Fabric::breaker_record_timeout(NodeId src, NodeId dst) {
   ++b->consecutive;
   if (!b->open && b->consecutive >= params_.breaker_threshold) {
     b->open = true;
-    b->cooldown = params_.breaker_cooldown;
+    b->cooldown = kBreakerCooldown;
     b->open_until = sim_.now() + b->cooldown;
     breaker_trips_.inc();
     if (recorder_ != nullptr) {

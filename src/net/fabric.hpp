@@ -59,19 +59,24 @@
 
 namespace concord::net {
 
+/// Reliable-class retransmit backoff: the k-th consecutive failure of one
+/// send waits kAckTimeout * 2^(k-1), capped at kMaxBackoff, plus a seeded
+/// jitter draw in [0, FabricParams::backoff_jitter).
+inline constexpr sim::Time kAckTimeout = 2 * sim::kMillisecond;  // first retransmit wait
+inline constexpr sim::Time kMaxBackoff = 4 * sim::kMillisecond;
+/// How long a tripped circuit breaker fails sends fast before its first
+/// half-open probe; each failed probe doubles it, up to 16 * kBreakerCooldown.
+inline constexpr sim::Time kBreakerCooldown = 50 * sim::kMillisecond;
+
 struct FabricParams {
   sim::Time base_latency = 50 * sim::kMicrosecond;  // switch + stack traversal
   sim::Time jitter = 20 * sim::kMicrosecond;        // uniform [0, jitter)
   double ns_per_byte = 8.0;                         // ~1 Gbit/s
   double loss_rate = 0.0;                           // unreliable class only
-  sim::Time ack_timeout = 2 * sim::kMillisecond;    // first retransmit wait
   int max_retries = 16;                             // attempt budget per send
 
   // --- overload protection ----------------------------------------------
-  /// Reliable-class retransmit backoff: the k-th consecutive failure of one
-  /// send waits ack_timeout * 2^(k-1), capped at max_backoff, plus a seeded
-  /// jitter draw in [0, backoff_jitter).
-  sim::Time max_backoff = 4 * sim::kMillisecond;
+  /// Upper bound of the seeded jitter added to every retransmit backoff.
   sim::Time backoff_jitter = 250 * sim::kMicrosecond;
   /// Per-send retry *time* budget: once the cumulative backoff wait would
   /// cross this, the send gives up (the final wait is clamped so a fully
@@ -89,11 +94,10 @@ struct FabricParams {
   sim::Time ingress_service = 0;
   /// Circuit breaker: this many consecutive reliable-send timeouts to one
   /// destination trip the (src, dst) breaker; further sends fail fast with
-  /// kUnavailable until breaker_cooldown passes, then one half-open probe
+  /// kUnavailable until kBreakerCooldown passes, then one half-open probe
   /// send decides (success closes, failure re-opens with doubled cooldown).
   /// 0 = disabled.
   int breaker_threshold = 0;
-  sim::Time breaker_cooldown = 50 * sim::kMillisecond;
 
   // --- data integrity (all off by default) --------------------------------
   /// When on, every non-loopback datagram carries the codec's 8-byte
@@ -204,7 +208,7 @@ class Fabric {
 
   // --- overload surface --------------------------------------------------
   /// Backoff wait after the k-th consecutive failure of one reliable send
-  /// (k >= 1), before jitter: min(ack_timeout * 2^(k-1), max_backoff).
+  /// (k >= 1), before jitter: min(kAckTimeout * 2^(k-1), kMaxBackoff).
   [[nodiscard]] sim::Time backoff_base(int failures) const noexcept;
   /// Sheddable datagrams currently in flight / queued toward `node`.
   [[nodiscard]] std::size_t ingress_depth(NodeId node) const;
@@ -307,8 +311,6 @@ class Fabric {
   /// Per-link bit-flip probability, stacking multiplicatively on the global
   /// rate (same composition as per-link loss).
   void set_link_corrupt(NodeId src, NodeId dst, double p);
-  [[nodiscard]] double link_corrupt(NodeId src, NodeId dst) const;
-  void set_duplicate_rate(double p) noexcept { params_.duplicate_rate = p; }
   /// Hook that flips a bit in a message's *typed* payload when a corruption
   /// roll fires with checksums disabled. The fabric cannot mutate a
   /// std::any it does not understand, so the cluster — which knows the

@@ -22,7 +22,6 @@ void FaultInjector::restart(NodeId n) {
   if (!is_crashed(n)) return;
   crashed_.erase(raw(n));
   fabric_.set_node_reachable(n, true);
-  for (const auto& h : restart_hooks_) h(n);
 }
 
 void FaultInjector::pause(NodeId n) {
@@ -129,15 +128,14 @@ void FaultInjector::schedule(const std::vector<FaultEvent>& events) {
 }
 
 std::vector<FaultEvent> FaultInjector::random_schedule(Rng& rng, std::uint32_t num_nodes,
-                                                       std::size_t faults, sim::Time horizon,
-                                                       NodeId spare) {
+                                                       std::size_t faults, sim::Time horizon) {
   std::vector<FaultEvent> out;
   if (num_nodes < 2 || horizon <= 0) return out;
-  const auto pick_node = [&rng, num_nodes, spare]() {
+  const auto pick_node = [&rng, num_nodes]() {
     std::uint32_t n;
     do {
       n = static_cast<std::uint32_t>(rng.below(num_nodes));
-    } while (n == raw(spare));
+    } while (n == 0);  // node 0 is the spare
     return node_id(n);
   };
   for (std::size_t i = 0; i < faults; ++i) {

@@ -99,8 +99,6 @@ class FaultInjector {
   void set_link_corrupt(NodeId a, NodeId b, double p);
   /// Global payload bit-flip rate on every link.
   void set_corrupt_rate(double p) { fabric_.set_corrupt_rate(p); }
-  /// Global unreliable-datagram duplication rate.
-  void set_duplicate_rate(double p) { fabric_.set_duplicate_rate(p); }
 
   /// Restarts every crashed node, resumes every paused one, reopens every
   /// cut link and clears every per-link loss and corruption rate set through
@@ -116,10 +114,9 @@ class FaultInjector {
   /// Crashed + paused nodes, ascending.
   [[nodiscard]] std::vector<NodeId> down_nodes() const;
 
-  /// Hooks fire synchronously inside crash()/restart(), after the fabric
-  /// state flips. The Cluster uses them to drop the node's volatile state.
+  /// Hooks fire synchronously inside crash(), after the fabric state flips.
+  /// The Cluster uses them to drop the node's volatile state.
   void on_crash(NodeHook h) { crash_hooks_.push_back(std::move(h)); }
-  void on_restart(NodeHook h) { restart_hooks_.push_back(std::move(h)); }
 
   // --- scheduling -------------------------------------------------------
   void apply(const FaultEvent& e);
@@ -128,13 +125,12 @@ class FaultInjector {
 
   /// Deterministic random schedule of `faults` fault/heal pairs over
   /// [now, now+horizon): crashes, pauses, and partitions, each healed after
-  /// a random dwell. Node `spare` is never faulted (keep the controller
-  /// alive). Requires num_nodes >= 3 so at least two nodes can be faulted.
+  /// a random dwell. Node 0 is never faulted (keep the controller alive).
+  /// Requires num_nodes >= 3 so at least two nodes can be faulted.
   [[nodiscard]] static std::vector<FaultEvent> random_schedule(Rng& rng,
                                                                std::uint32_t num_nodes,
                                                                std::size_t faults,
-                                                               sim::Time horizon,
-                                                               NodeId spare = node_id(0));
+                                                               sim::Time horizon);
 
  private:
   sim::Simulation& sim_;
@@ -145,7 +141,6 @@ class FaultInjector {
   std::unordered_set<std::uint64_t> lossy_links_;    // keys we set loss on
   std::unordered_set<std::uint64_t> corrupt_links_;  // keys we set corruption on
   std::vector<NodeHook> crash_hooks_;
-  std::vector<NodeHook> restart_hooks_;
 };
 
 }  // namespace concord::net

@@ -29,7 +29,7 @@ class Value {
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Value() = default;
-  explicit Value(bool b) : kind_(Kind::kBool), bool_(b) {}
+  explicit Value(bool b) : kind_(Kind::kBool), num_(b ? 1 : 0) {}
   explicit Value(double d) : kind_(Kind::kNumber), num_(d) {}
   explicit Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}
   explicit Value(Array a) : kind_(Kind::kArray), arr_(std::make_unique<Array>(std::move(a))) {}
@@ -37,13 +37,11 @@ class Value {
       : kind_(Kind::kObject), obj_(std::make_unique<Object>(std::move(o))) {}
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool as_bool() const noexcept { return bool_; }
+  /// A number's value; a boolean reads 1 or 0.
   [[nodiscard]] double as_number() const noexcept { return num_; }
   [[nodiscard]] std::int64_t as_int() const noexcept { return static_cast<std::int64_t>(num_); }
   [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
   [[nodiscard]] const Array& as_array() const noexcept { return *arr_; }
-  [[nodiscard]] const Object& as_object() const noexcept { return *obj_; }
 
   /// Object member access; nullptr if this is not an object or has no such
   /// member.
@@ -56,7 +54,6 @@ class Value {
 
  private:
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
   double num_ = 0;
   std::string str_;
   std::unique_ptr<Array> arr_;

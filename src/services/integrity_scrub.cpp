@@ -75,9 +75,9 @@ void IntegrityScrub::heal() {
   (void)republish(cluster_, [&](std::uint32_t home) { return orphaned[home]; });
 }
 
-ScrubReport IntegrityScrub::scrub_and_heal(int max_rounds) {
+ScrubReport IntegrityScrub::scrub_and_heal() {
   ScrubReport total;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     // Heal anything already on the quarantine list (from a previous round,
     // or a standalone scrub() call) before verifying, so a clean pass below
     // really does certify the repairs it credits.

@@ -51,11 +51,12 @@ class IntegrityScrub {
   /// unverifiable is not provably corrupt. Call from the top level only.
   ScrubReport scrub();
 
-  /// Verify/heal rounds until a pass quarantines nothing (or `max_rounds`
+  static constexpr int kMaxRounds = 4;
+  /// Verify/heal rounds until a pass quarantines nothing (or kMaxRounds
   /// is hit): scrub, heal the quarantine list through a donor stream or a
   /// block-map republish, re-verify. The terminating clean pass
   /// credits every pending quarantined entry as repaired.
-  ScrubReport scrub_and_heal(int max_rounds = 4);
+  ScrubReport scrub_and_heal();
 
   /// Re-hash verification of one entry: true iff some block of `e`, hashed
   /// now on the entity's host, produces `h`. Also used by DhtAudit when a

@@ -43,8 +43,7 @@ constexpr std::uint32_t kNoHolder = ~std::uint32_t{0};
 
 }  // namespace
 
-MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> plan,
-                                            bool rescan_between) {
+MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> plan) {
   MigrationStats stats;
   sim::Simulation& simu = cluster_.sim();
   net::Fabric& fabric = cluster_.fabric();
@@ -172,10 +171,10 @@ MigrationStats CollectiveMigration::migrate(std::span<const MigrationPlanItem> p
     simu.run();  // drain shipments
 
     // 4. Retire the source; the new entity enters the DHT on the next
-    // monitor epoch (run eagerly when rescan_between is set, so the rest of
-    // the gang can lean on the image that just landed).
+    // monitor epoch, run eagerly so the rest of the gang can lean on the
+    // image that just landed.
     cluster_.depart_entity(item.entity);
-    if (rescan_between) (void)cluster_.scan_all();
+    (void)cluster_.scan_all();
   }
 
   stats.latency = simu.now() - t0;

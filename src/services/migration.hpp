@@ -49,11 +49,11 @@ class CollectiveMigration {
   /// Migrates every entity in `plan`. The source entities are departed; the
   /// stats name their replacements (same kind/geometry, new ids).
   ///
-  /// With `rescan_between` (the default — monitors run continuously in a
-  /// real site), each migrated image is scanned into the DHT before the
-  /// next entity moves, so later members of a gang landing near earlier
-  /// ones reconstruct their shared content instead of shipping it.
-  MigrationStats migrate(std::span<const MigrationPlanItem> plan, bool rescan_between = true);
+  /// Monitors run continuously in a real site, so each migrated image is
+  /// scanned into the DHT before the next entity moves: later members of a
+  /// gang landing near earlier ones reconstruct their shared content
+  /// instead of shipping it.
+  MigrationStats migrate(std::span<const MigrationPlanItem> plan);
 
  private:
   core::Cluster& cluster_;

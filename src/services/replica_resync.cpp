@@ -4,17 +4,15 @@
 
 namespace concord::services {
 
-ReplicaResync::ReplicaResync(core::Cluster& cluster, bool auto_resync)
+ReplicaResync::ReplicaResync(core::Cluster& cluster)
     : cluster_(cluster),
       runs_(cluster.metrics().counter("dht", "resync_runs")),
       shards_(cluster.metrics().counter("dht", "resync_shards")),
       records_(cluster.metrics().counter("dht", "resync_records")) {
-  if (auto_resync) {
-    // Registered after the cluster's dirty-marking listener (and after any
-    // ShardRecovery constructed earlier), so dirty state and any fallback
-    // republish decisions are already settled when this fires.
-    cluster_.detector().on_epoch_change([this](const auto&) { last_ = resync(); });
-  }
+  // Registered after the cluster's dirty-marking listener (and after any
+  // ShardRecovery constructed earlier), so dirty state and any fallback
+  // republish decisions are already settled when this fires.
+  cluster_.detector().on_epoch_change([this](const auto&) { last_ = resync(); });
 }
 
 ResyncReport ReplicaResync::resync() {

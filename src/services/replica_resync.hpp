@@ -34,9 +34,9 @@ struct ResyncReport {
 
 class ReplicaResync {
  public:
-  /// With auto_resync (default) the service registers itself as an epoch
-  /// listener and runs after every view change.
-  explicit ReplicaResync(core::Cluster& cluster, bool auto_resync = true);
+  /// Registers the service as an epoch listener: it runs after every view
+  /// change.
+  explicit ReplicaResync(core::Cluster& cluster);
 
   ReplicaResync(const ReplicaResync&) = delete;
   ReplicaResync& operator=(const ReplicaResync&) = delete;

@@ -42,13 +42,6 @@ class ReplicationGuard {
   /// Rescans after placement so the DHT reflects the new redundancy.
   ReplicationReport ensure(std::span<const EntityId> scope, std::size_t k);
 
-  /// The replica entity the guard owns on `node` (if it created one).
-  [[nodiscard]] std::optional<EntityId> replica_entity(NodeId node) const {
-    const auto it = replicas_.find(raw(node));
-    if (it == replicas_.end()) return std::nullopt;
-    return it->second.id;
-  }
-
  private:
   struct ReplicaStore {
     EntityId id{};

@@ -6,18 +6,16 @@
 
 namespace concord::services {
 
-ShardRecovery::ShardRecovery(core::Cluster& cluster, bool auto_recover)
+ShardRecovery::ShardRecovery(core::Cluster& cluster)
     : cluster_(cluster),
       prev_alive_(cluster.placement().alive()),
       runs_(cluster.metrics().counter("dht", "recovery_runs")),
       republished_(cluster.metrics().counter("dht", "recovery_republished")),
       skipped_replicated_(cluster.metrics().counter("dht", "recovery_skipped_replicated")) {
-  if (auto_recover) {
-    // Registered after the cluster's own placement and dirty-marking
-    // listeners, so by the time this fires owner() already answers under
-    // the new view and every newcomer to a group is dirty.
-    cluster_.detector().on_epoch_change([this](const auto&) { last_ = recover(); });
-  }
+  // Registered after the cluster's own placement and dirty-marking
+  // listeners, so by the time this fires owner() already answers under the
+  // new view and every newcomer to a group is dirty.
+  cluster_.detector().on_epoch_change([this](const auto&) { last_ = recover(); });
 }
 
 RecoveryReport ShardRecovery::recover() {

@@ -36,9 +36,9 @@ struct RecoveryReport {
 
 class ShardRecovery {
  public:
-  /// With auto_recover (default) the service registers itself as an epoch
-  /// listener and runs after every view change.
-  explicit ShardRecovery(core::Cluster& cluster, bool auto_recover = true);
+  /// Registers the service as an epoch listener: it runs after every view
+  /// change.
+  explicit ShardRecovery(core::Cluster& cluster);
 
   ShardRecovery(const ShardRecovery&) = delete;
   ShardRecovery& operator=(const ShardRecovery&) = delete;

@@ -524,7 +524,7 @@ TEST(ChaosSweep, MixedOverloadAndPauseConvergesAfterRecovery) {
   p.fabric.ingress_service = 50 * sim::kMicrosecond;
   p.fabric.retry_budget = 20 * sim::kMillisecond;
   p.fabric.breaker_threshold = 6;
-  p.pressure.enabled = true;
+  p.pressure = true;
   auto c = std::make_unique<core::Cluster>(p);
   const auto ids = populate(*c, 1, 128);
 

@@ -99,7 +99,7 @@ TEST(Golden, StressedCrashAndRestart) {
   p.fabric.ingress_queue_limit = 6;
   p.fabric.ingress_service = 100 * sim::kMicrosecond;
   p.fabric.breaker_threshold = 2;
-  p.pressure.enabled = true;
+  p.pressure = true;
   p.watchdog.enabled = true;
   core::Cluster c(p);
   expect_golden(c, "stressed_constructed.csv");

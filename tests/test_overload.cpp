@@ -69,7 +69,7 @@ core::ClusterParams overload_params(std::uint64_t seed, std::size_t hash_workers
   p.fabric.ingress_service = 50 * sim::kMicrosecond;
   p.fabric.retry_budget = 10 * sim::kMillisecond;
   p.fabric.breaker_threshold = 4;
-  p.pressure.enabled = true;
+  p.pressure = true;
   return p;
 }
 
@@ -235,7 +235,7 @@ TEST(OverloadBreaker, TripsFastFailsHalfOpensAndRecovers) {
   // After the cooldown the next send is the half-open probe; the link is
   // healed, so it succeeds and the breaker closes.
   fabric.set_link_blocked(node_id(0), node_id(1), false);
-  simu.run_until(simu.now() + fabric.params().breaker_cooldown + 1);
+  simu.run_until(simu.now() + net::kBreakerCooldown + 1);
   EXPECT_EQ(fabric.breaker_state(node_id(0), node_id(1)), net::BreakerState::kHalfOpen);
   fabric.send_reliable(data_msg(node_id(0), node_id(1), "x"), record);
   simu.run();
@@ -276,10 +276,10 @@ TEST(OverloadPressure, AimdThrottlesUnderLoadAndRecoversWhenCalm) {
   p.update_batching.mtu_bytes = 256;
   p.fabric.ingress_queue_limit = 8;
   p.fabric.ingress_service = 100 * sim::kMicrosecond;
-  p.pressure.enabled = true;
+  p.pressure = true;
   core::Cluster c(p);
   ASSERT_NE(c.pressure(), nullptr);
-  const std::uint64_t initial = c.params().pressure.initial_update_budget;
+  const std::uint64_t initial = core::kInitialUpdateBudget;
 
   for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
     mem::MemoryEntity& e =
@@ -312,6 +312,86 @@ TEST(OverloadPressure, AimdThrottlesUnderLoadAndRecoversWhenCalm) {
               for (const auto& s : c.pressure()->snapshot()) sum += s.update_budget;
               return sum;
             }()));
+}
+
+// The fixed timings and AIMD starting points, written as literals so the
+// test pins the values themselves, whatever names carry them.
+
+TEST(OverloadPinned, BackoffDoublesFromTwoMillisecondsUpToFour) {
+  sim::Simulation simu{1};
+  net::Fabric fabric(simu, net::FabricParams{});
+  EXPECT_EQ(fabric.backoff_base(1), 2 * sim::kMillisecond);
+  EXPECT_EQ(fabric.backoff_base(2), 4 * sim::kMillisecond);
+  EXPECT_EQ(fabric.backoff_base(3), 4 * sim::kMillisecond);
+  EXPECT_EQ(fabric.backoff_base(4), 4 * sim::kMillisecond);
+}
+
+TEST(OverloadPinned, FailedProbesDoubleTheCooldownUpToSixteenTimesFifty) {
+  sim::Simulation simu{7};
+  net::FabricParams params;
+  params.backoff_jitter = 0;
+  params.max_retries = 1;
+  params.breaker_threshold = 1;
+  net::Fabric fabric(simu, params);
+  int got = 0;
+  register_counting_sink(fabric, node_id(0), got);
+  register_counting_sink(fabric, node_id(1), got);
+  fabric.set_link_blocked(node_id(0), node_id(1), true);
+
+  // The first timeout opens the breaker for 50 ms; every failed half-open
+  // probe re-opens it for twice as long, capped at 800 ms.
+  const std::vector<sim::Time> cooldowns_ms = {50, 100, 200, 400, 800, 800};
+  for (const sim::Time ms : cooldowns_ms) {
+    fabric.send_reliable(data_msg(node_id(0), node_id(1), "x"));
+    const sim::Time opened = simu.now();
+    simu.run_until(opened + ms * sim::kMillisecond - 1);
+    EXPECT_EQ(fabric.breaker_state(node_id(0), node_id(1)), net::BreakerState::kOpen) << ms;
+    simu.run_until(opened + ms * sim::kMillisecond);
+    EXPECT_EQ(fabric.breaker_state(node_id(0), node_id(1)), net::BreakerState::kHalfOpen)
+        << ms;
+  }
+  EXPECT_EQ(fabric.breaker_trips(), cooldowns_ms.size());
+  EXPECT_EQ(got, 0);
+}
+
+TEST(OverloadPinned, DetectionWindowIsThreeFiveMillisecondRoundsPlusFive) {
+  core::ClusterParams p;
+  p.num_nodes = 4;
+  core::Cluster c(p);
+  const sim::Time t0 = c.sim().now();
+  (void)c.detect();
+  EXPECT_EQ(c.sim().now() - t0, (3 * 5 + 5) * sim::kMillisecond);
+
+  // A probe of a crashed node gives up after 10 ms.
+  c.fault().crash(node_id(1));
+  const sim::Time t1 = c.sim().now();
+  sim::Time verdict_at = -1;
+  c.detector().probe(node_id(0), node_id(1), [&](bool alive) {
+    EXPECT_FALSE(alive);
+    verdict_at = c.sim().now();
+  });
+  c.sim().run();
+  EXPECT_EQ(verdict_at - t1, 10 * sim::kMillisecond);
+}
+
+TEST(OverloadPinned, PressuredClusterStartsAtBudget4096Quota32Credits8) {
+  core::ClusterParams p;
+  p.num_nodes = 4;
+  p.pressure = true;
+  core::Cluster c(p);
+  ASSERT_NE(c.pressure(), nullptr);
+  for (const auto& s : c.pressure()->snapshot()) {
+    EXPECT_EQ(s.update_budget, 4096u);
+    EXPECT_EQ(s.flush_quota, 32u);
+    EXPECT_EQ(s.credits, 8u);
+  }
+  // One calm epoch adds 512 to the budget and 4 to the quota.
+  (void)c.scan_all();
+  for (const auto& s : c.pressure()->snapshot()) {
+    EXPECT_EQ(s.update_budget, 4608u);
+    EXPECT_EQ(s.flush_quota, 36u);
+    EXPECT_FALSE(s.throttled);
+  }
 }
 
 }  // namespace

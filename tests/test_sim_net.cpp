@@ -334,11 +334,11 @@ TEST_F(FabricFixture, ReliableTimesOutWhenRetriesExhausted) {
   EXPECT_EQ(fabric.traffic(node_id(0)).msgs_blackholed,
             static_cast<std::uint64_t>(params.max_retries));
   // The k-th consecutive failure waits backoff_base(k): exponential from
-  // ack_timeout, capped at max_backoff. The give-up time is the exact sum.
+  // kAckTimeout, capped at kMaxBackoff. The give-up time is the exact sum.
   sim::Time expect = 0;
   for (int k = 1; k <= params.max_retries; ++k) expect += fabric.backoff_base(k);
   EXPECT_EQ(simu.now(), expect);
-  EXPECT_GT(simu.now(), static_cast<sim::Time>(params.max_retries) * params.ack_timeout);
+  EXPECT_GT(simu.now(), static_cast<sim::Time>(params.max_retries) * net::kAckTimeout);
 }
 
 TEST_F(FabricFixture, ReliableRetryBudgetCapsTheWait) {
@@ -545,7 +545,7 @@ std::pair<std::string, sim::Time> pressured_fingerprint(std::size_t workers) {
   p.fabric.ingress_service = 50 * sim::kMicrosecond;
   p.fabric.retry_budget = 20 * sim::kMillisecond;
   p.fabric.breaker_threshold = 6;
-  p.pressure.enabled = true;
+  p.pressure = true;
   p.sim_workers = workers;
   auto c = std::make_unique<core::Cluster>(p);
   for (std::uint32_t n = 0; n < p.num_nodes; ++n) {
