@@ -64,8 +64,7 @@ std::uint64_t FlightRecorder::recorded(std::uint32_t node) const noexcept {
   return node < rings_.size() ? rings_[node].total : 0;
 }
 
-void FlightRecorder::append_ring_json(std::string& out, std::uint32_t node) const {
-  const Ring& r = rings_[node];
+void FlightRecorder::append_ring_json(std::string& out, std::uint32_t node, const Ring& r) {
   char buf[160];
   std::snprintf(buf, sizeof buf, "{\"node\":%u,\"recorded\":%" PRIu64 ",\"events\":[", node,
                 r.total);
@@ -88,29 +87,43 @@ void FlightRecorder::append_ring_json(std::string& out, std::uint32_t node) cons
 std::string FlightRecorder::to_json(std::uint32_t node) const {
   if (node >= rings_.size()) return "{}";
   std::string out;
-  append_ring_json(out, node);
+  append_ring_json(out, node, rings_[node]);
   return out;
 }
 
 std::string FlightRecorder::to_json_all(std::string_view reason) const {
+  return rings_json(reason, rings_);
+}
+
+std::string FlightRecorder::rings_json(std::string_view reason,
+                                       const std::vector<Ring>& rings) const {
   std::string out = "{\"reason\":\"";
   json::escape(out, reason);
   char buf[64];
   std::snprintf(buf, sizeof buf, "\",\"capacity\":%zu,\"nodes\":[", capacity_);
   out += buf;
-  for (std::uint32_t n = 0; n < rings_.size(); ++n) {
+  for (std::uint32_t n = 0; n < rings.size(); ++n) {
     if (n != 0) out += ',';
-    append_ring_json(out, n);
+    append_ring_json(out, n, rings[n]);
   }
   out += "]}";
   return out;
 }
 
 void FlightRecorder::dump(std::string_view reason) {
-  last_dump_ = to_json_all(reason);
+  snapshot_ = rings_;  // copy-assigned: reuses the snapshot's storage
   last_reason_.assign(reason);
+  pending_ = true;
   dump_cell_.inc();
-  if (sink_) sink_(reason, last_dump_);
+  if (sink_) sink_(reason, last_dump());
+}
+
+const std::string& FlightRecorder::last_dump() const {
+  if (pending_) {
+    last_dump_ = rings_json(last_reason_, snapshot_);
+    pending_ = false;
+  }
+  return last_dump_;
 }
 
 }  // namespace concord::obs

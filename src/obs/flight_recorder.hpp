@@ -7,10 +7,12 @@
 // so it rides in release builds unconditionally; unlike the tracer it keeps
 // only the recent past, which is exactly what a postmortem needs when a
 // command completes kDegraded, a breaker trips, or a DhtAudit pass finds
-// drift. Those triggers call dump(): the rings serialize to deterministic
-// JSON, the `obs/blackbox_dumps` counter ticks, and an optional sink — a
-// bench writing artifacts, a test asserting on the dump — receives the
-// document.
+// drift. Those triggers call dump(): the rings are copied into a snapshot
+// and the `obs/blackbox_dumps` counter ticks. The snapshot is formatted as
+// deterministic JSON only when something reads it — last_dump(), or an
+// optional sink (a bench writing artifacts, a test asserting on the dump),
+// which receives the document at once — so a dump nobody reads costs one
+// copy of the rings and no formatting.
 // concord-lint: emit-path — bytes or messages produced here must not depend on
 // hash-map iteration order.
 #pragma once
@@ -88,12 +90,14 @@ class FlightRecorder {
   /// Sink invoked on every dump() with (reason, json).
   void set_sink(DumpSink sink) { sink_ = std::move(sink); }
 
-  /// Serializes all rings, remembers the result (last_dump()/last_reason()),
-  /// bumps the dump counter, and fires the sink.
+  /// Snapshots all rings and the reason (last_dump()/last_reason()), bumps
+  /// the dump counter, and fires the sink with the formatted snapshot.
   void dump(std::string_view reason);
 
   [[nodiscard]] std::uint64_t dumps() const noexcept { return dump_cell_.value(); }
-  [[nodiscard]] const std::string& last_dump() const noexcept { return last_dump_; }
+  /// to_json_all(reason) as it read at the last dump(); formatted from the
+  /// snapshot on first read. Empty before any dump.
+  [[nodiscard]] const std::string& last_dump() const;
   [[nodiscard]] const std::string& last_reason() const noexcept { return last_reason_; }
 
   /// JSON for one node's ring, oldest event first.
@@ -117,7 +121,9 @@ class FlightRecorder {
     std::uint64_t total = 0;      // events ever recorded
   };
 
-  void append_ring_json(std::string& out, std::uint32_t node) const;
+  static void append_ring_json(std::string& out, std::uint32_t node, const Ring& r);
+  [[nodiscard]] std::string rings_json(std::string_view reason,
+                                       const std::vector<Ring>& rings) const;
 
   const std::size_t capacity_;  // immutable after construction
   // concord-lint: unguarded(event-loop confined: record()/dump() run only on
@@ -129,7 +135,11 @@ class FlightRecorder {
   // concord-lint: unguarded(event-loop confined, as rings_)
   DumpSink sink_;
   // concord-lint: unguarded(event-loop confined, as rings_)
-  std::string last_dump_;
+  std::vector<Ring> snapshot_;  // rings_ as the last dump() found them
+  // concord-lint: unguarded(event-loop confined, as rings_)
+  mutable std::string last_dump_;  // snapshot_ formatted, once pending_ clears
+  // concord-lint: unguarded(event-loop confined, as rings_)
+  mutable bool pending_ = false;  // snapshot_ not yet formatted into last_dump_
   // concord-lint: unguarded(event-loop confined, as rings_)
   std::string last_reason_;
 };

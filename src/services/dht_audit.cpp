@@ -2,7 +2,7 @@
 // hash-map iteration order.
 #include "services/dht_audit.hpp"
 
-#include <map>
+#include <utility>
 
 #include "core/cost_model.hpp"
 #include "services/integrity_scrub.hpp"
@@ -21,16 +21,24 @@ AuditReport DhtAudit::run() {
   const sim::Time t0 = simu.now();
 
   // ---- pass 1: find missing entries (host side drives).
+  // Every home's replica group, built once: a view installs only between
+  // detection windows, never inside a pass.
+  const dht::Placement& pl = cluster_.placement();
+  std::vector<std::vector<NodeId>> groups(pl.num_nodes());
+  for (std::uint32_t home = 0; home < groups.size(); ++home) {
+    groups[home] = pl.shard_replicas(home);
+  }
+  // Check pairs per shard owner, reused across hosts and emitted in owner
+  // order, as a real implementation would batch them.
+  std::vector<std::uint64_t> batch_pairs(cluster_.num_nodes(), 0);
   for (std::uint32_t n = 0; n < cluster_.num_nodes(); ++n) {
     if (cluster_.fault().is_down(node_id(n))) continue;  // down hosts drive nothing
-    // Batch the checks per shard owner, as a real implementation would.
-    std::map<std::uint32_t, std::uint64_t> batch_pairs;  // ordered: emitted per owner
     sim::Time scan = 0;
     for_each_truth(cluster_, cluster_.daemon(node_id(n)),
                    [&](const ContentHash& h, std::span<const EntityId> entities) {
       // Every group member must hold the pair (at R = 1 the group is just
       // the owner, and this degenerates to the single-owner check).
-      const std::vector<NodeId> group = cluster_.placement().replicas(h);
+      const std::vector<NodeId>& group = groups[pl.home(h)];
       for (const EntityId e : entities) {
         ++report.entries_checked;
         scan += cm.callback_cost();
@@ -49,8 +57,9 @@ AuditReport DhtAudit::run() {
     });
     // Charge the batched check traffic (one request per owner, paired
     // replies) and the host-side scan.
-    for (const auto& [owner, pairs] : batch_pairs) {
-      if (owner == n) continue;
+    for (std::uint32_t owner = 0; owner < batch_pairs.size(); ++owner) {
+      const std::uint64_t pairs = std::exchange(batch_pairs[owner], 0);
+      if (pairs == 0 || owner == n) continue;
       cluster_.fabric().send_unreliable(
           net::make_message(node_id(n), node_id(owner), net::MsgType::kControl,
                             std::uint64_t{pairs}, pairs * kPairBytes));

@@ -10,20 +10,6 @@
 
 namespace concord::services {
 
-void for_each_truth(const core::Cluster& c, const core::ServiceDaemon& host,
-                    const TruthFn& fn) {
-  std::vector<EntityId> alive;
-  host.block_map().for_each([&](const ContentHash& h,
-                                const std::vector<mem::BlockLocation>& locs) {
-    alive.clear();
-    for (const mem::BlockLocation& loc : locs) {
-      const EntityId e = loc.entity;
-      if (c.registry().alive(e) && std::ranges::count(alive, e) == 0) alive.push_back(e);
-    }
-    fn(h, alive);
-  });
-}
-
 bool holds(core::Cluster& c, const ContentHash& h, EntityId e, bool rehash) {
   if (!c.registry().alive(e)) return false;
   core::ServiceDaemon& host = c.daemon(c.registry().host_of(e));

@@ -10,6 +10,7 @@
 // is streamed and how homes are re-published all live here, once.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <functional>
 #include <span>
@@ -44,8 +45,19 @@ void for_each_pair(const core::ServiceDaemon& member, Fn&& fn) {
 /// Calls fn(hash, entities) for every hash in `host`'s block map, in the
 /// map's order. `entities` lists the distinct alive entities holding the
 /// hash, in first-appearance order; it is empty when all have departed.
-using TruthFn = std::function<void(const ContentHash&, std::span<const EntityId>)>;
-void for_each_truth(const core::Cluster& c, const core::ServiceDaemon& host, const TruthFn& fn);
+template <class Fn>
+void for_each_truth(const core::Cluster& c, const core::ServiceDaemon& host, Fn&& fn) {
+  std::vector<EntityId> alive;
+  host.block_map().for_each([&](const ContentHash& h,
+                                const std::vector<mem::BlockLocation>& locs) {
+    alive.clear();
+    for (const mem::BlockLocation& loc : locs) {
+      const EntityId e = loc.entity;
+      if (c.registry().alive(e) && std::ranges::count(alive, e) == 0) alive.push_back(e);
+    }
+    fn(h, std::span<const EntityId>(alive));
+  });
+}
 
 /// Does the block map on `e`'s host hold `h` for `e`? With `rehash`, one of
 /// those blocks must also hash to `h` right now (the integrity check: the

@@ -151,5 +151,30 @@ TEST(DhtAudit, RemovesManuallyCorruptedEntries) {
   EXPECT_TRUE(dht_matches_ground_truth(*c));
 }
 
+TEST(DhtAudit, CheckDatagramsAreSilentSinks) {
+  // The check batches an audit sends to each shard owner (kControl) model
+  // wire volume only: they arrive, but no daemon treats them as unhandled.
+  core::ClusterParams p;
+  p.num_nodes = 4;
+  p.max_entities = 16;
+  p.dht_replication = 2;
+  p.seed = 12;
+  core::Cluster c(p);
+  for (std::uint32_t n = 0; n < c.num_nodes(); ++n) {
+    mem::MemoryEntity& e = c.create_entity(node_id(n), EntityKind::kProcess, 16, kBlk);
+    workload::fill(e, workload::defaults_for(workload::Kind::kRandom, 40 + n));
+  }
+  (void)c.scan_all();
+  c.fault().crash(node_id(2));
+  (void)c.detect();
+  c.fault().restart(node_id(2));
+  (void)c.detect();
+  const AuditReport r = DhtAudit(c).run_to_convergence();
+  EXPECT_GT(r.missing_repaired, 0u) << "the restarted node's wiped shards needed repair";
+  EXPECT_GT(c.metrics().counter_total("net", "type_bytes.control"), 0u)
+      << "the audit sent its check batches";
+  EXPECT_EQ(c.metrics().counter_total("core", "unhandled_msgs"), 0u);
+}
+
 }  // namespace
 }  // namespace concord::services

@@ -201,6 +201,13 @@ TEST(Batching, PendingRecordsRemapToSuccessorWhenOwnerCrashesBeforeFlush) {
 TEST(Batching, UnhandledMessagesAreCounted) {
   core::Cluster cluster(make_params(true, 0.0, 3));
   EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 0u);
+  // kData is dispatched to a registered handler; with none registered the
+  // delivery is a routing fault and counts.
+  cluster.fabric().send_unreliable(net::make_message(
+      node_id(0), node_id(1), net::MsgType::kData, std::string("noop"), 4));
+  cluster.sim().run();
+  EXPECT_EQ(cluster.metrics().counter_total("core", "unhandled_msgs"), 1u);
+  // kControl is a sink (it models wire volume only): dropped without counting.
   cluster.fabric().send_unreliable(net::make_message(
       node_id(0), node_id(1), net::MsgType::kControl, std::string("noop"), 4));
   cluster.sim().run();

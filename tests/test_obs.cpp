@@ -417,6 +417,39 @@ TEST(FlightRecorder, RingKeepsNewestAndDumpsDeterministically) {
   EXPECT_EQ(node1.get("events")->as_array()[0].get("ev")->as_string(), "epoch_change");
 }
 
+TEST(FlightRecorder, DumpSnapshotsRingsAndFormatsOnRead) {
+  obs::Registry r;
+  obs::FlightRecorder fr(r, 3, /*capacity=*/4);
+  EXPECT_TRUE(fr.last_dump().empty()) << "nothing dumped yet";
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    fr.record(static_cast<std::uint32_t>(i % 3), static_cast<sim::Time>(i),
+              obs::FrEvent::kMsgRecv, 1, 2, i);
+  }
+  const std::string at_dump = fr.to_json_all("x");
+  fr.dump("x");
+  // Events after the dump (some wrap the rings) must not reach the dump.
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    fr.record(static_cast<std::uint32_t>(i % 3), static_cast<sim::Time>(100 + i),
+              obs::FrEvent::kMsgShed, 3, 4, i);
+  }
+  ASSERT_NE(fr.to_json_all("x"), at_dump);
+  EXPECT_EQ(fr.last_dump(), at_dump);
+  EXPECT_EQ(fr.last_reason(), "x");
+  EXPECT_EQ(fr.dumps(), 1u);
+
+  // A set sink receives the same document, formatted at dump time.
+  std::string sink_json;
+  fr.set_sink([&](std::string_view, const std::string& json) { sink_json = json; });
+  const std::string at_second = fr.to_json_all("y");
+  fr.dump("y");
+  fr.record_all(200, obs::FrEvent::kEpochChange);
+  EXPECT_EQ(sink_json, at_second);
+  EXPECT_EQ(fr.last_dump(), at_second) << "a second dump replaces the first";
+  EXPECT_EQ(fr.last_reason(), "y");
+  EXPECT_EQ(fr.dumps(), 2u);
+  EXPECT_EQ(r.counter_total("obs", "blackbox_dumps"), 2u);
+}
+
 // --------------------------------------------------------------- watchdog
 
 TEST(Watchdog, CountsRunsViolationsAndFiresHook) {
